@@ -28,7 +28,6 @@ COLUMNAR_CONFIG = {
     "instance": "synthetic seed=3 scale=0.12 waiting_time=25-35",
     "allocator": "Closest",
     "batch_interval": 50.0,
-    "n_jobs": 1,
 }
 
 AUX = ("columnar_full_builds", "columnar_pairs", "scalar_pair_evals")

@@ -103,13 +103,12 @@ def test_micro_game_single_batch(benchmark, batch_instance):
     )
 
 
-def _platform_report(instance, use_engine, batch_interval=1.0, n_jobs=1):
+def _platform_report(instance, use_engine, batch_interval=1.0):
     return Platform(
         instance,
         ClosestBaseline(),
         batch_interval=batch_interval,
         use_engine=use_engine,
-        n_jobs=n_jobs,
     ).run()
 
 
@@ -123,18 +122,17 @@ _FEASIBILITY_CONFIG = {
     "instance": "synthetic seed=3 scale=0.12 waiting_time=25-35",
     "allocator": "Closest",
     "batch_interval": 1.0,
-    "n_jobs": 1,
 }
 
 
-def _record_platform_entry(record_bench_json, instance, use_engine, name, n_jobs=1):
+def _record_platform_entry(record_bench_json, instance, use_engine, name):
     """One extra measured run feeding the machine-readable perf trajectory."""
     started = time.perf_counter()
-    report = _platform_report(instance, use_engine, n_jobs=n_jobs)
+    report = _platform_report(instance, use_engine)
     wall_ms = (time.perf_counter() - started) * 1000.0
     record_bench_json(
         name,
-        dict(_FEASIBILITY_CONFIG, use_engine=use_engine, n_jobs=n_jobs),
+        dict(_FEASIBILITY_CONFIG, use_engine=use_engine),
         wall_ms,
         report.engine_stats,
     )

@@ -88,49 +88,3 @@ def test_parallel_sweep_speedup(record_bench_json):
             f"expected >=2x speedup on {cpus} CPUs, got {speedup:.2f}x "
             f"(serial {serial_ms:.0f} ms, parallel {parallel_ms:.0f} ms)"
         )
-
-
-def test_parallel_kernel_speedup(record_bench_json):
-    """The chunked feasibility kernel on one big full build."""
-    from repro.algorithms.baselines import ClosestBaseline
-    from repro.simulation.platform import Platform
-
-    cpus = available_cpus()
-    instance = generate_synthetic(SyntheticConfig(seed=3).scaled(0.12))
-
-    def run(n_jobs):
-        started = time.perf_counter()
-        report = Platform(
-            instance,
-            ClosestBaseline(),
-            batch_interval=1.0,
-            n_jobs=n_jobs,
-            parallel_threshold=0,
-        ).run()
-        return report, (time.perf_counter() - started) * 1000.0
-
-    serial_report, serial_ms = run(1)
-    run(_N_JOBS)  # pool warm-up
-    parallel_report, parallel_ms = run(_N_JOBS)
-
-    assert parallel_report.assignments == serial_report.assignments
-    assert parallel_report.engine_stats == serial_report.engine_stats
-
-    speedup = serial_ms / parallel_ms if parallel_ms > 0.0 else 0.0
-    record_bench_json(
-        "parallel_kernel_4x",
-        {
-            "instance": "synthetic seed=3 scale=0.12",
-            "allocator": "Closest",
-            "batch_interval": 1.0,
-            "n_jobs": _N_JOBS,
-            "parallel_threshold": 0,
-            "cpus": cpus,
-        },
-        parallel_ms,
-        {
-            "serial_wall_ms": round(serial_ms, 3),
-            "speedup": round(speedup, 3),
-        },
-    )
-    shutdown_executors()

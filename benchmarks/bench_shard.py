@@ -1,29 +1,18 @@
-"""Geo-sharded engine scale-out: settled-work, reconcile and quality gates.
+"""Geo-sharded engine: reconcile and quality gates.
 
-Three pinned claims, all counter arithmetic (deterministic on 1-CPU hosts):
+Two pinned claims on a genuinely bordered workload, both counter
+arithmetic (deterministic on 1-CPU hosts):
 
-* **Settled-work ratio** — on an arrival-heavy 4-cluster workload the
-  busiest shard settles at least ``MIN_SETTLED_RATIO`` times less
-  feasibility work (``pairs_checked + time_filtered``) than the unsharded
-  engine's total.  That is the scale-out headline: with one engine per
-  core, wall-clock follows the *densest* shard, and a task arrival only
-  links against its home shard's residents instead of every worker.
-  Exactness precondition: the exact-mode sharded *report* (assignments,
-  completion times, expirations) is identical to the unsharded run on
-  this boundary-free workload.  Engine counters are expected to differ —
-  the arrival-work saving is the measurement.
-* **Reconcile overhead** — on a genuinely bordered workload the
-  partitioned protocol's phase-2 reconcile examines fewer than
-  ``MAX_RECONCILE_OVERHEAD`` of the pairs phase 1 settles.
-* **Quality ratio** — the partitioned protocol's total score stays within
-  ``MIN_QUALITY_RATIO`` of the unsharded solution on that same bordered
-  workload.  (It can exceed 1.0: the post-merge dependency-retry pass
-  re-offers tasks the single-pass unsharded allocator abandons after a
-  dependency prune frees their worker.)
+* **Reconcile overhead** — the two-phase protocol's phase-2 reconcile
+  examines fewer than ``MAX_RECONCILE_OVERHEAD`` of the pairs phase 1
+  settles.
+* **Quality ratio** — the sharded total score stays within
+  ``MIN_QUALITY_RATIO`` of the unsharded solution on the same workload.
+  (It can exceed 1.0: the post-merge dependency-retry pass re-offers
+  tasks the single-pass unsharded allocator abandons after a dependency
+  prune frees their worker.)
 
-The shared-memory column handoff's pipe savings for this workload's
-batch-0 pair block are recorded alongside (``handoff_bytes_saved``).
-``check_perf_gate.py`` reruns the identical workloads as a CI gate.
+``check_perf_gate.py`` reruns the identical workload as a CI gate.
 """
 
 import time
@@ -36,30 +25,21 @@ from repro.datagen.distributions import Range
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.simulation.platform import Platform
 
-#: The unsharded engine must settle at least this many times more
-#: feasibility work than the busiest shard on the 4-shard gate workload.
-MIN_SETTLED_RATIO = 4.0
-
 #: Phase-2 reconcile pairs must stay under this fraction of phase-1 work.
 MAX_RECONCILE_OVERHEAD = 0.10
 
-#: Partitioned total score over unsharded total score, same workload.
+#: Sharded total score over unsharded total score, same workload.
 MIN_QUALITY_RATIO = 0.9
 
 N_SHARDS = 4
 
 SHARD_CONFIG = {
-    "instance": "synthetic seed=3 scale=0.08 in 4 clusters (gap=10)",
+    "instance": "synthetic seed=3 scale=0.12 wait=25-35 in 4 clusters (gap=1.25)",
     "allocator": "Closest",
     "batch_interval": 5.0,
     "shards": N_SHARDS,
     "scheme": "kd",
 }
-
-BORDERED_CONFIG = dict(
-    SHARD_CONFIG,
-    instance="synthetic seed=3 scale=0.12 wait=25-35 in 4 clusters (gap=1.25)",
-)
 
 
 def _clustered(base, gap):
@@ -76,19 +56,6 @@ def _clustered(base, gap):
     )
 
 
-def make_shard_instance():
-    """Four well-separated copies of the synthetic region, arrival-heavy.
-
-    Task start times keep their natural stagger, so most feasibility work
-    is *arrival* work — the regime where the unsharded engine links every
-    new task against all workers while a shard links only its residents.
-    A gap of 10 keeps every reach disc inside its cluster (boundary-free:
-    exact mode matches the unsharded report).  Module-level so
-    ``check_perf_gate.py`` reruns the identical workload.
-    """
-    return _clustered(generate_synthetic(SyntheticConfig(seed=3).scaled(0.08)), 10.0)
-
-
 def make_bordered_instance():
     """Four long-wait clusters pulled within reach of each other.
 
@@ -97,7 +64,8 @@ def make_bordered_instance():
     cluster's near edge — inside the ~0.4 reach radius for a thin ring of
     real border workers (and nobody else).  The stretched waiting times
     keep entities alive across batches so dependency chains actually span
-    batches and shards.
+    batches and shards.  Module-level so ``check_perf_gate.py`` reruns the
+    identical workload.
     """
     base = generate_synthetic(
         replace(SyntheticConfig(seed=3), waiting_time=Range(25.0, 35.0)).scaled(0.12)
@@ -105,7 +73,7 @@ def make_bordered_instance():
     return _clustered(base, 1.25)
 
 
-def run_shard_workload(instance, shards=1, mode="exact"):
+def run_shard_workload(instance, shards=1):
     """One measured platform run; returns (platform, report, wall_ms)."""
     platform = Platform(
         instance,
@@ -113,7 +81,6 @@ def run_shard_workload(instance, shards=1, mode="exact"):
         batch_interval=SHARD_CONFIG["batch_interval"],
         shards=shards,
         shard_scheme=SHARD_CONFIG["scheme"],
-        shard_mode=mode,
     )
     started = time.perf_counter()
     report = platform.run()
@@ -131,84 +98,15 @@ def per_shard_settled(platform):
     return [settled_work(shard.stats()) for shard in platform.last_engine.engines]
 
 
-def measure_handoff_savings(instance, n_chunks=N_SHARDS):
-    """Pipe bytes the shm handoff saves for this workload's batch-0 block."""
-    from repro.columnar.batch import pack_pair_columns
-    from repro.parallel.shm import handoff_bytes_saved, shm_available
-
-    if not shm_available():  # pragma: no cover - POSIX-only fallback
-        return 0
-    pairs = [
-        (w.location, t.location) for w in instance.workers for t in instance.tasks
-    ]
-    return handoff_bytes_saved(pack_pair_columns(pairs), n_chunks)
-
-
-def _assert_reports_identical(sharded, unsharded):
-    # Allocation outputs must match exactly; engine counters differ by
-    # design (shards skip cross-cluster arrival work — the measurement).
-    assert sharded.assignments == unsharded.assignments
-    assert sharded.completion_times == unsharded.completion_times
-    assert sharded.expired_tasks == unsharded.expired_tasks
-
-
-@pytest.fixture(scope="module")
-def shard_instance():
-    return make_shard_instance()
-
-
 @pytest.fixture(scope="module")
 def bordered_instance():
     return make_bordered_instance()
 
 
-def test_bench_shard_settled_ratio(benchmark, shard_instance, record_bench_json):
-    """Exact-mode sharding: bit-identical reports, 4x less work per shard."""
-    benchmark(
-        lambda: run_shard_workload(shard_instance, shards=N_SHARDS)[1].total_score
-    )
-    platform, sharded_report, shard_ms = run_shard_workload(
-        shard_instance, shards=N_SHARDS
-    )
-    _, flat_report, flat_ms = run_shard_workload(shard_instance)
-
-    # Exactness precondition: the work saving must not come from divergence.
-    _assert_reports_identical(sharded_report, flat_report)
-
-    shard_loads = per_shard_settled(platform)
-    flat_settled = settled_work(flat_report.engine_stats)
-    ratio = flat_settled / max(max(shard_loads), 1)
-    saved = measure_handoff_savings(shard_instance)
-
-    record_bench_json(
-        "shard_platform_exact",
-        dict(SHARD_CONFIG, min_settled_ratio=MIN_SETTLED_RATIO),
-        shard_ms,
-        dict(
-            sharded_report.engine_stats,
-            densest_shard_settled=max(shard_loads),
-            settled_ratio=round(ratio, 3),
-            handoff_bytes_saved=saved,
-        ),
-    )
-    record_bench_json(
-        "shard_platform_unsharded",
-        dict(SHARD_CONFIG, shards=1),
-        flat_ms,
-        dict(flat_report.engine_stats, total_settled=flat_settled),
-    )
-
-    assert saved > 0, "shm handoff should beat pickled columns on this block"
-    assert ratio >= MIN_SETTLED_RATIO, (
-        f"settled-work ratio {ratio:.2f} < {MIN_SETTLED_RATIO} "
-        f"(unsharded={flat_settled:.0f}, densest shard={max(shard_loads):.0f})"
-    )
-
-
 def test_bench_shard_reconcile_and_quality(bordered_instance, record_bench_json):
-    """Partitioned mode: bounded reconcile work, bounded quality loss."""
+    """Sharded run: bounded reconcile work, bounded quality loss."""
     platform, part_report, part_ms = run_shard_workload(
-        bordered_instance, shards=N_SHARDS, mode="partitioned"
+        bordered_instance, shards=N_SHARDS
     )
     _, flat_report, _ = run_shard_workload(bordered_instance)
 
@@ -222,7 +120,7 @@ def test_bench_shard_reconcile_and_quality(bordered_instance, record_bench_json)
     record_bench_json(
         "shard_platform_partitioned",
         dict(
-            BORDERED_CONFIG,
+            SHARD_CONFIG,
             max_reconcile_overhead=MAX_RECONCILE_OVERHEAD,
             min_quality_ratio=MIN_QUALITY_RATIO,
         ),
@@ -246,6 +144,6 @@ def test_bench_shard_reconcile_and_quality(bordered_instance, record_bench_json)
         f"phase-1's {phase1:.0f} (limit {MAX_RECONCILE_OVERHEAD:.0%})"
     )
     assert quality >= MIN_QUALITY_RATIO, (
-        f"partitioned quality {quality:.3f} < {MIN_QUALITY_RATIO} "
+        f"sharded quality {quality:.3f} < {MIN_QUALITY_RATIO} "
         f"({part_report.total_score} vs {flat_report.total_score})"
     )

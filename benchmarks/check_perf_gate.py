@@ -32,14 +32,11 @@ Two checks, one exit code:
    to perform at least 5x more interpreter-level per-pair feasibility
    evaluations (``scalar_pair_evals`` counter) than the columnar path.
    Counter arithmetic only — deterministic on 1-CPU hosts.
-5. **Shard scale-out gate** — reruns both ``bench_shard`` workloads.  On
-   the boundary-free arrival-heavy workload the exact-mode sharded report
-   must match the unsharded run while the busiest shard settles at least
-   4x less feasibility work than the unsharded total.  On the bordered
-   long-wait workload the partitioned protocol must keep reconcile work
-   under 10% of phase-1 settles and total score within 0.9x of the
-   unsharded solution.  Counter arithmetic only — deterministic on 1-CPU
-   hosts.
+5. **Shard reconcile/quality gate** — reruns the ``bench_shard``
+   bordered long-wait workload.  The two-phase sharded protocol must keep
+   reconcile work under 10% of phase-1 settles and total score within
+   0.9x of the unsharded solution.  Counter arithmetic only —
+   deterministic on 1-CPU hosts.
 6. **Events-disabled overhead gate** — reruns the same platform workload
    with an explicitly *disabled* ``EventJournal`` threaded through the
    platform/engine/allocator hot paths, asserts the journal records
@@ -73,7 +70,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
-        [--min-columnar-ratio 5.0] [--min-shard-ratio 4.0]
+        [--min-columnar-ratio 5.0]
         [--min-store-ratio 5.0] [--min-game-kernel-ratio 5.0]
 """
 
@@ -109,7 +106,6 @@ ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
 MIN_COLUMNAR_RATIO = 5.0
-MIN_SHARD_RATIO = 4.0
 MIN_STORE_RATIO = 5.0
 MIN_GAME_KERNEL_RATIO = 5.0
 
@@ -251,75 +247,49 @@ def check_columnar_pair_ratio(min_ratio: float) -> bool:
     return ok
 
 
-def check_shard_scaleout(min_ratio: float) -> bool:
-    """Counter-only gate on the sharded engine's scale-out contract."""
+def check_shard_scaleout() -> bool:
+    """Counter-only gate on the sharded protocol's reconcile and quality bounds."""
     from bench_shard import (
-        BORDERED_CONFIG,
         MAX_RECONCILE_OVERHEAD,
         MIN_QUALITY_RATIO,
         N_SHARDS,
         SHARD_CONFIG,
-        _assert_reports_identical,
         make_bordered_instance,
-        make_shard_instance,
         per_shard_settled,
         run_shard_workload,
-        settled_work,
     )
-
-    instance = make_shard_instance()
-    platform, sharded_report, wall_ms = run_shard_workload(instance, shards=N_SHARDS)
-    _, flat_report, _ = run_shard_workload(instance)
-    try:  # exactness is a precondition of the perf claim
-        _assert_reports_identical(sharded_report, flat_report)
-    except AssertionError:
-        print("FAIL: exact-mode sharded report diverges from the unsharded run")
-        return False
-    densest = max(per_shard_settled(platform))
-    flat_settled = settled_work(flat_report.engine_stats)
-    ratio = flat_settled / max(densest, 1)
 
     bordered = make_bordered_instance()
-    bordered_platform, part_report, _ = run_shard_workload(
-        bordered, shards=N_SHARDS, mode="partitioned"
-    )
-    _, bordered_flat, _ = run_shard_workload(bordered)
-    registry = bordered_platform.metrics_registry
+    platform, sharded_report, wall_ms = run_shard_workload(bordered, shards=N_SHARDS)
+    _, flat_report, _ = run_shard_workload(bordered)
+    registry = platform.metrics_registry
     border = registry.counter("shard_border_workers").value
     reconcile_pairs = registry.counter("shard_reconcile_pairs").value
-    phase1 = sum(per_shard_settled(bordered_platform))
+    phase1 = sum(per_shard_settled(platform))
     overhead = reconcile_pairs / max(phase1, 1)
-    quality = part_report.total_score / max(bordered_flat.total_score, 1)
+    quality = sharded_report.total_score / max(flat_report.total_score, 1)
 
     record_bench_entry(
         SHARD_ENTRY,
         dict(
             SHARD_CONFIG,
-            bordered=BORDERED_CONFIG["instance"],
-            min_settled_ratio=min_ratio,
             max_reconcile_overhead=MAX_RECONCILE_OVERHEAD,
             min_quality_ratio=MIN_QUALITY_RATIO,
         ),
         wall_ms,
         {
-            "densest_shard_settled": densest,
-            "unsharded_settled": flat_settled,
-            "settled_ratio": round(ratio, 3),
             "border_workers": border,
             "reconcile_overhead": round(overhead, 4),
             "quality_ratio": round(quality, 4),
             "dep_retry_assigned": registry.counter("shard_dep_retry_assigned").value,
         },
     )
-    ratio_ok = ratio >= min_ratio
     overhead_ok = border > 0 and overhead < MAX_RECONCILE_OVERHEAD
     quality_ok = quality >= MIN_QUALITY_RATIO
-    ok = ratio_ok and overhead_ok and quality_ok
+    ok = overhead_ok and quality_ok
     verdict = "PASS" if ok else "FAIL"
     print(
-        f"{verdict}: shard settled ratio {ratio:.2f}x "
-        f"({flat_settled:.0f} unsharded vs {densest:.0f} densest shard; "
-        f"floor x{min_ratio}), reconcile overhead {overhead:.1%} "
+        f"{verdict}: shard reconcile overhead {overhead:.1%} "
         f"(limit {MAX_RECONCILE_OVERHEAD:.0%}, border={border:.0f}), "
         f"quality {quality:.3f} (floor {MIN_QUALITY_RATIO})"
     )
@@ -533,14 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(default {MIN_COLUMNAR_RATIO}; deterministic, no wall-clock)",
     )
     parser.add_argument(
-        "--min-shard-ratio",
-        type=float,
-        default=MIN_SHARD_RATIO,
-        help="fail when the densest shard settles more than unsharded/THIS "
-        f"feasibility work (default {MIN_SHARD_RATIO}; deterministic, "
-        "no wall-clock)",
-    )
-    parser.add_argument(
         "--min-store-ratio",
         type=float,
         default=MIN_STORE_RATIO,
@@ -579,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     roadnet_ok = check_roadnet_settled_ratio(args.min_settled_ratio)
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
     columnar_ok = check_columnar_pair_ratio(args.min_columnar_ratio)
-    shard_ok = check_shard_scaleout(args.min_shard_ratio)
+    shard_ok = check_shard_scaleout()
     store_ok = check_store_row_ratio(args.min_store_ratio)
     game_kernel_ok = check_game_kernel_ratio(args.min_game_kernel_ratio)
     events_ok = check_events_disabled_overhead(

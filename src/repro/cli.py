@@ -16,6 +16,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
+from repro.core.exceptions import DascError
 from repro.datagen.meetup import MeetupLikeConfig, generate_meetup_like
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic
 from repro.experiments.report import format_sweep
@@ -70,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="allocate an instance JSON")
     solve.add_argument("instance")
-    solve.add_argument("--approach", default="Greedy", help=f"one of {APPROACH_NAMES + ['DFS']}")
+    # argparse %-formats help strings, and "Game-5%" holds a bare "%".
+    approaches = ", ".join(APPROACH_NAMES + ["DFS"]).replace("%", "%%")
+    solve.add_argument("--approach", default="Greedy", help=f"one of {approaches}")
     solve.add_argument("--seed", type=int, default=7)
     solve.add_argument("--batch-interval", type=float, default=None, help="run the dynamic platform with this interval instead of a single batch")
     solve.add_argument("--no-engine", action="store_true", help="disable the shared allocation engine (fresh feasibility rebuild per batch)")
@@ -82,22 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "— for measuring the incremental engine's savings)",
     )
     solve.add_argument("--engine-stats", action="store_true", help="print the engine's counters after a platform run")
-    solve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the engine's chunked feasibility kernel "
-        "(platform runs only; 1 = serial, -1 = all CPUs)",
-    )
-    solve.add_argument(
-        "--parallel-threshold",
-        type=int,
-        default=None,
-        metavar="PAIRS",
-        help="minimum uncached pair count before a full build fans out "
-        "(default: engine heuristic; 0 forces the parallel kernel)",
-    )
     solve.add_argument(
         "--replay-check",
         action="store_true",
@@ -154,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.shard import MODES as SHARD_MODES, SCHEMES as SHARD_SCHEMES
+    from repro.shard import SCHEMES as SHARD_SCHEMES
 
     parser.add_argument(
         "--shards",
@@ -162,7 +149,8 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="split the plane into N spatial shards, each with its own "
-        "incremental engine (platform runs only; 1 = unsharded)",
+        "incremental engine; the allocator runs per shard and border "
+        "workers are reconciled after (platform runs only; 1 = unsharded)",
     )
     parser.add_argument(
         "--shard-scheme",
@@ -170,14 +158,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         default="grid",
         help="how to cut the plane: a uniform grid of the bounding box, or "
         "a density-balanced KD split of the population (default: grid)",
-    )
-    parser.add_argument(
-        "--shard-mode",
-        choices=SHARD_MODES,
-        default="exact",
-        help="'exact' merges per-shard feasibility into one batch view "
-        "(bit-identical reports); 'partitioned' runs the allocator per "
-        "shard and reconciles border workers (default: exact)",
     )
 
 
@@ -319,6 +299,21 @@ def _add_events_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _load_instance(path: str):
+    """Load an instance JSON, or print a one-line error and return None.
+
+    A missing file, malformed JSON, a schema or value error and a
+    dependency cycle all count as load errors.
+    """
+    try:
+        instance = load_instance(path)
+        instance.dependency_graph  # builds the closure; raises on a cycle
+    except (OSError, ValueError, DascError) as exc:
+        print(f"error: {exc}")
+        return None
+    return instance
+
+
 def _cmd_list() -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
@@ -453,7 +448,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     tracer = _obs_tracer(args) or NULL_TRACER
     with tracer.span("lint.load"):
-        instance = load_instance(args.instance)
+        instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
     with tracer.span("lint.check") as span:
         findings = lint_instance(instance)
         if tracer.enabled:
@@ -472,7 +469,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _apply_columnar(args)
     _apply_store(args)
     _apply_game_kernels(args)
-    instance = load_instance(args.instance)
+    instance = _load_instance(args.instance)
+    if instance is None:
+        return 2
     allocator = make_allocator(
         args.approach, seed=args.seed, game_incremental=not args.naive_game
     )
@@ -492,12 +491,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             batch_interval=args.batch_interval,
             use_engine=not args.no_engine,
             tracer=tracer,
-            n_jobs=args.jobs,
-            parallel_threshold=args.parallel_threshold,
             journal=journal,
             shards=args.shards,
             shard_scheme=args.shard_scheme,
-            shard_mode=args.shard_mode,
         )
         report = platform.run()
         metrics_registry = platform.metrics_registry

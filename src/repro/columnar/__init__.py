@@ -31,7 +31,6 @@ from repro.columnar.batch import (
     ColumnarBatch,
     flatten_rows,
     intern_skills,
-    pack_pair_columns,
 )
 from repro.columnar.store import (
     ColumnStore,
@@ -97,7 +96,6 @@ __all__ = [
     "flatten_rows",
     "intern_skills",
     "numpy_available",
-    "pack_pair_columns",
     "pair_distances",
     "rejection_reasons",
     "rejection_reasons_dense",

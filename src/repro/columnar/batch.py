@@ -4,10 +4,10 @@ A :class:`ColumnarBatch` freezes one batch's worker and task populations
 into contiguous columns: ``array('d')`` floats for the spatial/temporal
 attributes and packed ``array('Q')`` uint64 words for skill membership,
 built from a per-batch *skill interning table* (skill id -> bit position).
-The layout is backend-neutral on purpose: the stdlib ``array`` buffers are
-picklable (cheap to ship to fork workers) and expose the buffer protocol,
-so the numpy backend views them zero-copy via ``frombuffer`` while the
-pure-python fallback indexes them directly — one snapshot, two kernels.
+The layout is backend-neutral on purpose: the stdlib ``array`` buffers
+expose the buffer protocol, so the numpy backend views them zero-copy via
+``frombuffer`` while the pure-python fallback indexes them directly — one
+snapshot, two kernels.
 
 Columns are *positional*: row ``i`` of the worker columns is
 ``workers[i]`` of the sequence the batch was built from, and
@@ -149,46 +149,12 @@ class ColumnarBatch:
             & self.tskill_bitmask[task_pos]
         )
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Kernels read only the packed columns, so pickled copies (fork
-        # workers, spawned shards) deliberately drop the interning table —
-        # at 100k entities it is by far the largest part of the payload
-        # and pure dead weight on the far side.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["skill_table"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def __repr__(self) -> str:
         skills = "-" if self.skill_table is None else len(self.skill_table)
         return (
             f"ColumnarBatch(workers={self.n_workers}, tasks={self.n_tasks}, "
             f"skills={skills}, words={self.n_skill_words})"
         )
-
-
-def pack_pair_columns(
-    pairs: Sequence[Tuple[Tuple[float, float], Tuple[float, float]]],
-) -> Tuple[array, array, array, array]:
-    """Point pairs -> four ``array('d')`` coordinate columns.
-
-    The transport format :func:`repro.parallel.feasibility.evaluate_pairs`
-    ships to fork workers for planar metrics: four contiguous double
-    buffers pickle far smaller (and faster) than a list of nested tuples.
-    """
-    ax = array("d", bytes(8 * len(pairs)))
-    ay = array("d", bytes(8 * len(pairs)))
-    bx = array("d", bytes(8 * len(pairs)))
-    by = array("d", bytes(8 * len(pairs)))
-    for index, (a, b) in enumerate(pairs):
-        ax[index] = a[0]
-        ay[index] = a[1]
-        bx[index] = b[0]
-        by[index] = b[1]
-    return ax, ay, bx, by
 
 
 def flatten_rows(

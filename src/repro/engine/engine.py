@@ -53,8 +53,6 @@ from repro.engine.counters import EngineCounters
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.feasibility import DEFAULT_PAIR_THRESHOLD, evaluate_pairs
-from repro.parallel.pool import resolve_jobs
 from repro.spatial.cache import CachedMetric
 from repro.spatial.index import GridIndex
 
@@ -67,6 +65,29 @@ from repro.spatial.index import GridIndex
 #: arrival bursts).  The fallback is bit-identical; only the auxiliary
 #: path counters reveal which side ran.
 COLUMNAR_SYNC_MIN_PAIRS = 4096
+
+
+def index_cell_size(
+    workers: Sequence[Worker], tasks: Sequence[Task], now: float
+) -> Optional[float]:
+    """Grid-index cell size for a non-empty task set, or None when an index
+    cannot prune.
+
+    Same sizing heuristics as ``FeasibilityChecker._build_with_index``.
+    """
+    latest = max(t.deadline for t in tasks)
+    spans = [reach_radius(w, latest, now) for w in workers]
+    positive = sorted(s for s in spans if s > 0.0)
+    cell = positive[len(positive) // 2] if positive else 1.0
+    xs = [t.location[0] for t in tasks]
+    ys = [t.location[1] for t in tasks]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    if cell > extent / 2.0:
+        # Typical reach spans most of the region: the index cannot prune
+        # anything, so skip its bookkeeping for the whole run.
+        return None
+    floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
+    return max(cell, floor_cell, 1e-9)
 
 
 class AllocationEngine:
@@ -86,16 +107,6 @@ class AllocationEngine:
             ``engine_stats`` can never merge across engines.
         cache_maxsize: optional bound on the distance cache (FIFO eviction);
             None keeps it unbounded.
-        n_jobs: worker processes for the chunked feasibility kernel used by
-            full builds (1 = serial, negative = all CPUs).  The graph, the
-            counters and the cache trajectory are bit-identical either way:
-            workers evaluate only pure pair distances, and the parent
-            replays the serial link sequence against the prefetched values
-            (see :meth:`~repro.spatial.cache.CachedMetric.preload`).
-        parallel_threshold: minimum number of unique uncached pairs before
-            a full build fans out; below it the fork/pickle round-trip
-            costs more than the evaluations.  None uses
-            :data:`~repro.parallel.feasibility.DEFAULT_PAIR_THRESHOLD`.
         use_columnar: route full builds through the vectorised columnar
             kernels when the base metric advertises a
             :attr:`~repro.spatial.distance.DistanceMetric.columnar_code`.
@@ -106,7 +117,7 @@ class AllocationEngine:
             oracle's exactness contract and the build replays the serial
             metric-access sequence against the kernel's distances (same
             :meth:`~repro.spatial.cache.CachedMetric.preload` mechanism as
-            the chunked kernel).  Only the auxiliary
+            the road-network table build).  Only the auxiliary
             :meth:`~repro.engine.counters.EngineCounters.aux_dict`
             telemetry distinguishes the modes.
         use_store: maintain the columnar snapshots in a process-lifetime
@@ -134,8 +145,6 @@ class AllocationEngine:
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
-        n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
         use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
@@ -156,10 +165,6 @@ class AllocationEngine:
         # Legacy rebuild path: cache the sorted interning table across
         # batches, re-sorting only when the skill universe grows.
         self._interning = InterningCache()
-        self.n_jobs = resolve_jobs(n_jobs)
-        self.parallel_threshold = (
-            DEFAULT_PAIR_THRESHOLD if parallel_threshold is None else parallel_threshold
-        )
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = EngineCounters(self.registry)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -325,17 +330,15 @@ class AllocationEngine:
         if self._columnar_code is not None:
             self._columnar_full_build(workers, latest, now)
             return
-        table_capable = getattr(self.metric.base, "supports_distance_table", False)
-        if self.n_jobs <= 1 and not table_capable:
+        if not getattr(self.metric.base, "supports_distance_table", False):
             for worker in workers:
                 self._recompute_row(worker, latest, now)
             return
-        # Chunked kernel: gather every candidate row first (index probes and
-        # pruning counters run exactly as in the serial path), fan the
-        # uncached pair distances across the pool — or hand them to the
-        # metric's many-to-many table kernel in one call — then replay the
-        # serial link sequence against the prefetched values — same graph,
-        # same edge order, same cache trajectory.
+        # Table build: gather every candidate row first (index probes and
+        # pruning counters run exactly as in the serial path), answer the
+        # uncached pair distances with one many-to-many table call, then
+        # replay the serial link sequence against the prefetched values —
+        # same graph, same edge order, same cache trajectory.
         rows: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
             self._install_row(worker)
@@ -447,14 +450,11 @@ class AllocationEngine:
             self._workers_of[task.id].add(worker.id)
 
     def _prefetch_distances(self, rows: Sequence[Tuple[Worker, List[int]]]) -> None:
-        """Evaluate the build's unique uncached pair distances in bulk.
+        """Answer the build's unique uncached pair distances in one table call.
 
         Only pairs the serial link loop would actually hand to the metric
-        (skill filter applied, cache probed) are shipped.  Table-capable
-        metrics get every batch (the table kernel amortises per-endpoint
-        work, so there is no fork/pickle cost to threshold against); others
-        fan out across the process pool, and below the threshold the serial
-        path wins and nothing is prefetched.
+        (skill filter applied, cache probed) are asked for; the table
+        kernel shares one search cone per distinct endpoint across them.
         """
         pairs: List[Tuple[Tuple[float, float], Tuple[float, float]]] = []
         seen: Set[Tuple[Tuple[float, float], Tuple[float, float]]] = set()
@@ -472,12 +472,10 @@ class AllocationEngine:
                 pairs.append(key)
         if not pairs:
             return
-        table_capable = getattr(self.metric.base, "supports_distance_table", False)
-        if not table_capable and len(pairs) < self.parallel_threshold:
-            return
-        self.metric.preload(
-            evaluate_pairs(self.metric.base, pairs, self.n_jobs, self.tracer)
-        )
+        with self.tracer.span("engine.distance_table") as span:
+            self.metric.preload(self.metric.base.distance_table(pairs=pairs))
+            if self.tracer.enabled:
+                span.set("pairs", len(pairs))
 
     def _incremental_update(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -766,22 +764,12 @@ class AllocationEngine:
     def _make_index(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[GridIndex[int]]:
-        """Same sizing heuristics as ``FeasibilityChecker._build_with_index``."""
         if not self.use_index or not self.metric.euclidean_lower_bound or not tasks:
             return None
-        latest = max(t.deadline for t in tasks)
-        spans = [reach_radius(w, latest, now) for w in workers]
-        positive = sorted(s for s in spans if s > 0.0)
-        cell = positive[len(positive) // 2] if positive else 1.0
-        xs = [t.location[0] for t in tasks]
-        ys = [t.location[1] for t in tasks]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        if cell > extent / 2.0:
-            # Typical reach spans most of the region: the index cannot prune
-            # anything, so skip its bookkeeping for the whole run.
+        cell = index_cell_size(workers, tasks, now)
+        if cell is None:
             return None
-        floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
-        index: GridIndex[int] = GridIndex(cell_size=max(cell, floor_cell, 1e-9))
+        index: GridIndex[int] = GridIndex(cell_size=cell)
         index.insert_many((t.id, t.location) for t in tasks)
         return index
 

@@ -8,8 +8,9 @@ compatibility).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance
@@ -21,6 +22,12 @@ from repro.spatial.distance import get_metric
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
+
+#: Scalar number fields per entity kind (``location`` is checked separately).
+_NUMBER_FIELDS = {
+    "worker": ("start", "wait", "velocity", "max_distance"),
+    "task": ("start", "wait", "duration"),
+}
 
 
 def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
@@ -57,12 +64,39 @@ def instance_to_dict(instance: ProblemInstance) -> Dict[str, Any]:
     }
 
 
+def _require_finite(kind: str, entries: List[Dict[str, Any]]) -> None:
+    """Reject a NaN or infinite number, naming the entity and the field.
+
+    The model's range checks (``wait < 0`` and friends) are all false for
+    NaN, so without this a NaN slips through and poisons every distance
+    and deadline computed from it.  One sum over every number is finite
+    exactly when no number is NaN or infinite (barring overflow, which
+    only costs the per-field scan below), so valid input pays one pass.
+    """
+    fields = _NUMBER_FIELDS[kind]
+    try:
+        total = sum(c for entry in entries for c in entry["location"])
+        total += sum(entry.get(name, 0.0) for entry in entries for name in fields)
+        if math.isfinite(total):
+            return
+    except (TypeError, OverflowError):
+        pass  # a non-float somewhere; the scan below only judges floats
+    for entry in entries:
+        numbers = [(f"location[{axis}]", v) for axis, v in enumerate(entry["location"])]
+        numbers += [(name, entry[name]) for name in fields if name in entry]
+        for label, value in numbers:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{kind} {entry.get('id')!r}: {label} is {value!r}")
+
+
 def instance_from_dict(data: Dict[str, Any]) -> ProblemInstance:
-    """Decode an instance; raises ValueError on schema mismatch."""
+    """Decode an instance; raises ValueError on schema mismatch or a non-finite number."""
     version = data.get("format")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format {version!r}")
     skills = SkillUniverse(size=data["skills"]["size"], names=data["skills"]["names"])
+    _require_finite("worker", data["workers"])
+    _require_finite("task", data["tasks"])
     workers = [
         Worker(
             id=entry["id"],

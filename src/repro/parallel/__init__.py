@@ -1,10 +1,9 @@
-"""Process-pool parallelism: experiment fan-out and chunked kernels.
+"""Process-pool parallelism for experiment fan-out.
 
 The paper's evaluation (Section V, Figures 2–15, Table VI) is
 embarrassingly parallel — every (sweep value, approach, repetition) cell
-is an independent simulation — and a full feasibility build is a pure map
-over location pairs.  This package exploits both without changing a single
-result:
+is an independent simulation.  This package fans those cells out without
+changing a single result; each simulation itself runs in one process.
 
 * :mod:`repro.parallel.pool` — shared :class:`ProcessPoolExecutor`
   lifecycle and :func:`ordered_map`, whose ``n_jobs=1`` path is a plain
@@ -13,22 +12,14 @@ result:
   stream depends only on its coordinates, never on scheduling.
 * :mod:`repro.parallel.sweep` — fans harness cells across the pool and
   merges scores, spans and metrics back in serial order.
-* :mod:`repro.parallel.feasibility` — the chunked pair-distance kernel the
-  engine's ``full_build`` replays against for bit-identical graphs.
 
 The hard invariant everywhere: **parallel equals serial, bit for bit** —
-same seeds, same ``Sum(M)``, same reports, same ``engine_stats`` — pinned
-by ``tests/parallel/test_determinism.py``.  ``n_jobs`` follows one
-convention across the stack: ``1`` serial, ``N >= 2`` that many workers,
-negative = all available CPUs.
+same seeds, same ``Sum(M)``, same sweep results — pinned by
+``tests/parallel/test_determinism.py``.  ``n_jobs`` follows one
+convention: ``1`` serial, ``N >= 2`` that many workers, negative = all
+available CPUs.
 """
 
-from repro.parallel.feasibility import (
-    DEFAULT_PAIR_THRESHOLD,
-    chunk_bounds,
-    chunk_pairs,
-    evaluate_pairs,
-)
 from repro.parallel.pool import (
     available_cpus,
     get_executor,
@@ -37,30 +28,16 @@ from repro.parallel.pool import (
     shutdown_executors,
 )
 from repro.parallel.seeds import derive_seed, repetition_seeds
-from repro.parallel.shm import (
-    attach_columns,
-    export_columns,
-    handoff_bytes_saved,
-    shm_available,
-)
 from repro.parallel.sweep import evaluate_approaches_parallel, sweep_cells
 
 __all__ = [
-    "DEFAULT_PAIR_THRESHOLD",
-    "attach_columns",
     "available_cpus",
-    "chunk_bounds",
-    "chunk_pairs",
     "derive_seed",
     "evaluate_approaches_parallel",
-    "evaluate_pairs",
-    "export_columns",
     "get_executor",
-    "handoff_bytes_saved",
     "ordered_map",
     "repetition_seeds",
     "resolve_jobs",
-    "shm_available",
     "shutdown_executors",
     "sweep_cells",
 ]

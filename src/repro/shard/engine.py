@@ -1,80 +1,48 @@
-"""The geo-sharded allocation engine: per-shard incremental feasibility.
+"""The geo-sharded allocation engine: per-shard engines, two-phase solve.
 
 A :class:`ShardedEngine` owns one incremental
 :class:`~repro.engine.engine.AllocationEngine` per shard of a frozen
 :class:`~repro.shard.partition.SpatialPartition` built over the instance's
 worker and task positions.  Tasks route to the unique shard containing
-their location; workers register in **every** shard their reachability
-disc (:func:`~repro.core.constraints.reach_radius`, a sound Euclidean
-over-approximation for any ``euclidean_lower_bound`` metric) overlaps —
-workers whose disc crosses a boundary are the *border* set.  Each shard
-then syncs its own graph incrementally, so per-batch feasibility work
-settles against a shard-sized population instead of the global one.
+their location; a worker whose reachability disc
+(:func:`~repro.core.constraints.reach_radius`, a sound Euclidean
+over-approximation for any ``euclidean_lower_bound`` metric) lies inside
+one shard is a *core* worker of that shard, and a worker whose disc
+crosses a boundary is a *border* worker.  Each shard syncs its own graph
+incrementally, so per-batch feasibility work settles against a
+shard-sized population instead of the global one.
 
-Two allocation protocols:
+Each batch runs a two-phase protocol.  Phase 1 runs the allocator on
+each shard independently over its core workers.  Phase 2 collects the
+border workers and every still-open task within any border disc into one
+small reconcile instance re-solved exactly.  The merge never
+double-assigns a worker or overstaffs a task (core worker sets and shard
+task sets are disjoint; the reconcile context's taken-task credit
+excludes phase-1 picks, with a defensive conflict counter besides).  A
+final retry pass re-offers tasks whose dependencies another shard met in
+the same batch.  This is a different algorithm from the unsharded run:
+quality relative to it is *measured*, reported and gated by the
+benchmark — not pinned.
 
-* ``exact`` (the default) shards the **feasibility work only**: border
-  workers register in every overlapped shard, the per-shard batch views
-  are merged into one global view and a single allocator run decides the
-  batch.  Reports are bit-identical to the unsharded engine for every
-  approach — the merged view contains exactly the global pair set in the
-  global order, and the allocator sees the same context.  On
-  boundary-free instances (no disc crosses a boundary) with every task
-  visible at the first batch, the aggregated ``engine_stats`` are
-  bit-identical too (pinned by ``tests/shard/test_equivalence.py``); see
-  *Counter compensation* below for how.
-* ``partitioned`` runs phase 1 of the two-phase protocol — each shard's
-  allocator independently over its core (non-border) workers, optionally
-  fanned across the process pool — then phase 2 collects the border
-  workers and every still-open task within any border disc into one small
-  reconcile instance re-solved exactly.  The merge never double-assigns a
-  worker or overstaffs a task (core worker sets and shard task sets are
-  disjoint; the reconcile context's taken-task credit excludes phase-1
-  picks, with a defensive conflict counter besides).  Quality relative to
-  the unsharded run is *measured*, reported and gated by the benchmark —
-  not pinned.
-
-Counter compensation (exact mode)
----------------------------------
-A shard engine probing its local index prunes against ``|T_shard|``
-tasks, not ``|T_batch|``; the coordinator adds the shortfall
-``|T_batch| - sum(|T_shard|)`` per recomputed worker row to its own
-``pruned_by_index``, so the aggregate matches the global engine's count.
-``full_builds`` / ``incremental_updates`` are coordinator-level (one per
-batch, as the global engine counts them); every other counter sums
-exactly because boundary-free rows partition by task shard.  The shard
-indexes reuse the *global* engine's cell-size decision (``forced_cell``)
-and latest-deadline horizon (``shared_latest``) so index geometry — and
-with it ``pairs_checked`` / ``pruned_by_index`` / cache traffic — lines
-up shard by shard.  Aggregate ``cache_hits``/``cache_misses`` match
-because every directed key deterministically routes to one shard's
-(unbounded) cache: per-key accesses and the distinct-key total are both
-preserved (a bounded ``cache_maxsize`` breaks this argument — evictions
-depend on per-cache interleaving — so stats identity is only claimed for
-unbounded caches, the default).
+Counters: when the run uses a grid index, each recomputed core row also
+counts the tasks of the other shards as index-pruned (routing ruled them
+out without an exact check, as the unsharded engine's index would), so
+``engine_pruned_by_index`` stays comparable with an unsharded run.  The
+shard indexes share one cell size (``forced_cell``) and latest-deadline
+horizon (``shared_latest``), decided over the whole batch.
 
 Observability: every per-shard graph build, view materialisation and
 reason-coded rejection is stamped with its shard id
 (:meth:`~repro.obs.events.EventJournal.set_shard`); run/batch/assign
 framing stays shard-free, so ``repro explain --replay-check`` replays a
-sharded journal unchanged.  Cross-shard index prunes compensated by the
-coordinator emit no per-pair reject events (the pairs never reach a shard
-engine) — ``why_not`` answers for them fall back to the checker phase.
+sharded journal unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
 from repro.core.assignment import Assignment
@@ -84,16 +52,16 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.engine.context import BatchContext
 from repro.engine.counters import EngineCounters
-from repro.engine.engine import AllocationEngine, BatchFeasibilityView
+from repro.engine.engine import (
+    AllocationEngine,
+    BatchFeasibilityView,
+    index_cell_size,
+)
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.parallel.pool import ordered_map, resolve_jobs
 from repro.shard.partition import SpatialPartition, make_partition
 from repro.spatial.index import GridIndex
-
-#: Recognised allocation protocols.
-MODES = ("exact", "partitioned")
 
 
 class _ShardEngine(AllocationEngine):
@@ -101,10 +69,10 @@ class _ShardEngine(AllocationEngine):
 
     Differs from a free-standing engine in three ways: the graph sync is
     driven by :meth:`sync` (no per-batch mode counters or ``feas_build``
-    emission — the coordinator owns both), the task index mirrors the
-    *global* engine's cell-size decision (``forced_cell``), and the
-    pruning horizon is the *global* latest deadline (``shared_latest``) —
-    all three keep the shard's counters summable to the unsharded run's.
+    emission — the coordinator owns both), the task index uses the cell
+    size the coordinator decided over the whole batch (``forced_cell``),
+    and the pruning horizon is the batch's latest deadline
+    (``shared_latest``), so every shard indexes with one geometry.
     """
 
     def __init__(self, instance: ProblemInstance, shard_id: int, **kwargs) -> None:
@@ -122,9 +90,8 @@ class _ShardEngine(AllocationEngine):
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[GridIndex[int]]:
         # The per-shard extent heuristics would pick a different cell (or
-        # skip the index) per shard, skewing pairs_checked/pruned_by_index
-        # away from the global engine's; mirroring its decision keeps the
-        # candidate sets — hence the counters — summable.
+        # skip the index) per shard; the coordinator's batch-wide decision
+        # gives every shard the same geometry.
         if self.forced_cell is None or not tasks:
             return None
         index: GridIndex[int] = GridIndex(cell_size=self.forced_cell)
@@ -148,182 +115,12 @@ class _ShardEngine(AllocationEngine):
         return mode
 
 
-class _ShardRoutedMetric:
-    """Routes metric calls to the destination shard's distance cache.
-
-    Every directed key ``(a, b)`` lands in the shard containing ``b`` —
-    the same cache the build-time evaluation for a task in that shard
-    used — so allocator-side lookups (Closest, utilities) hit exactly as
-    they would against the unsharded engine's single cache, and the
-    aggregate hit/miss totals match it key for key.
-    """
-
-    __slots__ = ("_engine", "base")
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-        self.base = engine.instance.metric
-
-    @property
-    def euclidean_lower_bound(self) -> bool:
-        return bool(getattr(self.base, "euclidean_lower_bound", False))
-
-    @property
-    def hits(self) -> int:
-        return sum(e.metric.hits for e in self._engine.engines)
-
-    @property
-    def misses(self) -> int:
-        return sum(e.metric.misses for e in self._engine.engines)
-
-    def __call__(self, a, b) -> float:
-        engines = self._engine.engines
-        return engines[self._engine.partition.shard_of(b)].metric(a, b)
-
-    def __repr__(self) -> str:
-        return f"_ShardRoutedMetric(shards={self._engine.partition.n_shards})"
-
-
-class _AggregateCounters:
-    """The coordinator's :class:`EngineCounters`-shaped façade.
-
-    ``as_dict`` / ``aux_dict`` / ``delta_since`` see coordinator-owned
-    totals plus the sum over shard engines, so a
-    :meth:`~repro.engine.context.BatchContext.engine_stats` delta over a
-    sharded batch reads exactly like an unsharded one.  Game-work bulk
-    adds land on the coordinator; the cache fields are live aggregate
-    properties (their setters are no-ops — ``engine_stats`` folds cache
-    traffic in by assignment, but shard syncs already keep the shard
-    counters current).
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-
-    def as_dict(self, prefix: str = "engine_") -> Dict[str, float]:
-        return self._engine._aggregate_dict(prefix)
-
-    def aux_dict(self, prefix: str = "engine_") -> Dict[str, float]:
-        return self._engine._aggregate_aux(prefix)
-
-    def delta_since(
-        self, snapshot: Dict[str, float], prefix: str = "engine_"
-    ) -> Dict[str, float]:
-        current = self.as_dict(prefix)
-        delta = {key: current[key] - snapshot.get(key, 0.0) for key in current}
-        for key, value in snapshot.items():
-            if key not in delta:
-                delta[key] = -value
-        return delta
-
-    def add_game_work(self, *args: int, **kwargs: int) -> None:
-        self._engine.counters.add_game_work(*args, **kwargs)
-
-    def add_game_kernel_work(self, *args: int, **kwargs: int) -> None:
-        self._engine.counters.add_game_kernel_work(*args, **kwargs)
-
-    @property
-    def cache_hits(self) -> float:
-        return float(sum(e.metric.hits for e in self._engine.engines))
-
-    @cache_hits.setter
-    def cache_hits(self, value: float) -> None:
-        pass
-
-    @property
-    def cache_misses(self) -> float:
-        return float(sum(e.metric.misses for e in self._engine.engines))
-
-    @cache_misses.setter
-    def cache_misses(self, value: float) -> None:
-        pass
-
-
-class _MergedView:
-    """The global batch view assembled from per-shard views (exact mode).
-
-    Each shard materialises its own :class:`BatchFeasibilityView` (journal
-    events stamped with the shard id); a worker's global row is the sorted
-    union of its per-shard rows.  Tasks live in exactly one shard, so the
-    union is disjoint and the merged rows equal — content and order — the
-    rows a single global view would produce.
-    """
-
-    def __init__(
-        self,
-        engine: "ShardedEngine",
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        shard_workers: Sequence[Sequence[Worker]],
-        shard_tasks: Sequence[Sequence[Task]],
-    ) -> None:
-        self.workers = list(workers)
-        self.tasks = list(tasks)
-        self.metric = engine.metric
-        self.now = now
-        journal = engine.journal
-        before = sum(e.counters.time_filtered for e in engine.engines)
-        rows_by_wid: Dict[int, List[List[int]]] = {}
-        workers_of: Dict[int, List[int]] = {}
-        for sid, shard_engine in enumerate(engine.engines):
-            if journal.enabled:
-                journal.set_shard(sid)
-            view = BatchFeasibilityView(
-                shard_engine, shard_workers[sid], shard_tasks[sid], now
-            )
-            for wid, row in view._tasks_of.items():
-                if row:
-                    rows_by_wid.setdefault(wid, []).append(row)
-            workers_of.update(view._workers_of)
-        if journal.enabled:
-            journal.set_shard(None)
-        tasks_of: Dict[int, List[int]] = {}
-        for worker in self.workers:
-            parts = rows_by_wid.get(worker.id)
-            if not parts:
-                tasks_of[worker.id] = []
-            elif len(parts) == 1:
-                tasks_of[worker.id] = parts[0]
-            else:
-                tasks_of[worker.id] = sorted(tid for part in parts for tid in part)
-        self._tasks_of = tasks_of
-        self._workers_of = workers_of
-        self._task_sets = {wid: frozenset(row) for wid, row in tasks_of.items()}
-        if journal.enabled:
-            checked = sum(e.counters.time_filtered for e in engine.engines) - before
-            # The batch's global funnel record; the per-shard views above
-            # each emitted their own (shard-stamped) feas_view.
-            journal.emit("feas_view", links=int(checked), feasible=self.pair_count())
-
-    # -- FeasibilityChecker API -------------------------------------------------
-
-    def tasks_of(self, worker_id: int) -> List[int]:
-        return self._tasks_of.get(worker_id, [])
-
-    def workers_of(self, task_id: int) -> List[int]:
-        return self._workers_of.get(task_id, [])
-
-    def feasible(self, worker_id: int, task_id: int) -> bool:
-        row = self._task_sets.get(worker_id)
-        return row is not None and task_id in row
-
-    def pairs(self) -> Iterable[Tuple[int, int]]:
-        for wid, tids in self._tasks_of.items():
-            for tid in tids:
-                yield (wid, tid)
-
-    def pair_count(self) -> int:
-        return sum(len(tids) for tids in self._tasks_of.values())
-
-
 class _PrebuiltView:
-    """A checker-API view over rows precomputed in the parent (phase 1).
+    """A checker-API view over precomputed feasibility rows.
 
-    Ships to pool workers as plain dicts — no engine, no graph — so the
-    phase-1 fan-out pickles only ids.
+    Phase 1 and the dependency retry pass run allocators over the rows
+    the shard views computed, as plain id dicts: no rebuild, and no
+    traffic through the shard engines' distance caches.
     """
 
     def __init__(
@@ -367,20 +164,6 @@ class _PrebuiltView:
         return sum(len(tids) for tids in self._tasks_of.values())
 
 
-def _phase1_job(job) -> AllocationOutcome:
-    """Pool-side phase-1 shard solve: rebuild the view, run the allocator."""
-    allocator, workers, tasks, instance, now, previously_assigned, rows = job
-    context = BatchContext(
-        workers,
-        tasks,
-        instance,
-        now,
-        previously_assigned,
-        checker_factory=lambda: _PrebuiltView(workers, tasks, rows, instance.metric, now),
-    )
-    return allocator.allocate(context)
-
-
 class ShardedEngine:
     """Spatially-partitioned engine scale-out over per-shard engines.
 
@@ -391,15 +174,9 @@ class ShardedEngine:
             :class:`AllocationEngine` for 1).
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
-        mode: ``"exact"`` (sharded feasibility, single global allocator
-            run, bit-identical reports) or ``"partitioned"`` (two-phase
-            per-shard allocators + border reconcile; quality measured, not
-            pinned).  See the module docstring.
-        use_index / cache_maxsize / n_jobs / parallel_threshold /
-        use_columnar / use_store: forwarded to every shard engine
-            (``n_jobs`` also drives the phase-1 fan-out in partitioned
-            mode; ``use_store`` gives each shard its own persistent
-            column store over its slice of the populations).
+        use_index / cache_maxsize / use_columnar / use_store: forwarded to
+            every shard engine (``use_store`` gives each shard its own
+            persistent column store over its slice of the populations).
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -412,25 +189,18 @@ class ShardedEngine:
         n_shards: int,
         *,
         scheme: str = "grid",
-        mode: str = "exact",
         use_index: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
-        n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
         use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if n_shards < 2:
             raise ValueError(f"n_shards must be >= 2, got {n_shards}")
-        if mode not in MODES:
-            raise ValueError(f"unknown shard mode {mode!r} (expected one of {MODES})")
         self.instance = instance
-        self.mode = mode
         self.use_index = use_index
-        self.n_jobs = resolve_jobs(n_jobs)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal if journal is not None else get_journal()
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -446,16 +216,12 @@ class ShardedEngine:
                 use_index=use_index,
                 tracer=self.tracer,
                 cache_maxsize=cache_maxsize,
-                n_jobs=n_jobs,
-                parallel_threshold=parallel_threshold,
                 use_columnar=use_columnar,
                 use_store=use_store,
                 journal=self.journal,
             )
             for sid in range(n_shards)
         ]
-        self.metric = _ShardRoutedMetric(self)
-        self._agg = _AggregateCounters(self)
         self._border_counter = self.registry.counter(
             "shard_border_workers",
             "worker registrations whose reach disc crossed a shard boundary",
@@ -489,40 +255,6 @@ class ShardedEngine:
 
     # -- public API ---------------------------------------------------------------
 
-    def begin_batch(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        previously_assigned: AbstractSet[int] = frozenset(),
-    ) -> BatchContext:
-        """Exact protocol: sync every shard, hand back one merged context."""
-        workers = list(workers)
-        tasks = list(tasks)
-        snapshot = self._aggregate_dict()
-        shard_workers, shard_tasks, border, latest, registrations = self._route(
-            workers, tasks, now, exclude_border=False
-        )
-        self._sync_shards(
-            workers, tasks, shard_workers, shard_tasks, now, latest, registrations
-        )
-        self._border_counter.inc(len(border))
-        return BatchContext(
-            workers,
-            tasks,
-            self.instance,
-            now,
-            previously_assigned,
-            metric=self.metric,
-            counters=self._agg,
-            checker_factory=lambda: _MergedView(
-                self, workers, tasks, now, shard_workers, shard_tasks
-            ),
-            stats_snapshot=snapshot,
-            tracer=self.tracer,
-            journal=self.journal,
-        )
-
     def allocate(
         self,
         allocator: BatchAllocator,
@@ -531,17 +263,13 @@ class ShardedEngine:
         now: float,
         previously_assigned: AbstractSet[int] = frozenset(),
     ) -> AllocationOutcome:
-        """Partitioned protocol: per-shard phase 1, then border reconcile."""
+        """Solve one batch: per-shard phase 1, border reconcile, retry."""
         started = time.perf_counter()
         workers = list(workers)
         tasks = list(tasks)
         snapshot = self._aggregate_dict()
-        shard_workers, shard_tasks, border, latest, registrations = self._route(
-            workers, tasks, now, exclude_border=True
-        )
-        self._sync_shards(
-            workers, tasks, shard_workers, shard_tasks, now, latest, registrations
-        )
+        shard_workers, shard_tasks, border, latest = self._route(workers, tasks, now)
+        self._sync_shards(workers, tasks, shard_workers, shard_tasks, now, latest)
         self._border_counter.inc(len(border))
         journal = self.journal
         payloads: List[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]] = []
@@ -562,9 +290,7 @@ class ShardedEngine:
         used_workers: set = set()
         taken: set = set()
         stats: Dict[str, float] = {}
-        for (sid, _, _, _), outcome in zip(payloads, outcomes):
-            if outcome is None:
-                continue
+        for outcome in outcomes:
             self._merge_stats(stats, outcome.stats)
             for wid, tid in outcome.assignment.pairs():
                 if wid in used_workers or tid in taken:
@@ -617,7 +343,8 @@ class ShardedEngine:
             payloads, merged, used_workers, taken, stats,
         )
 
-        stats.update(self._agg.delta_since(snapshot))
+        current = self._aggregate_dict()
+        stats.update({key: current[key] - snapshot[key] for key in current})
         stats["shard_phase1_shards"] = float(len(payloads))
         stats["shard_border_workers"] = float(len(border))
         stats["shard_reconcile_pairs"] = float(reconcile_pairs)
@@ -649,73 +376,47 @@ class ShardedEngine:
     def __repr__(self) -> str:
         return (
             f"ShardedEngine(shards={self.partition.n_shards}, "
-            f"scheme={self.partition.scheme!r}, mode={self.mode!r})"
+            f"scheme={self.partition.scheme!r})"
         )
 
     # -- internals ----------------------------------------------------------------
 
     def _route(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        exclude_border: bool,
-    ):
-        """Assign tasks to home shards and workers to overlapped shards.
+        self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
+    ) -> Tuple[List[List[Worker]], List[List[Task]], List[Worker], float]:
+        """Assign tasks to home shards, core workers to theirs, the rest to border.
 
         Without a Euclidean lower bound on the metric the reach disc is
-        not a sound over-approximation, so every worker registers in every
-        shard (feasibility work still shards by task; border handling
-        degenerates safely).
+        not a sound over-approximation, so every worker is a border worker
+        and the reconcile phase solves the whole batch.
         """
         latest = max((t.deadline for t in tasks), default=0.0)
         part = self.partition
-        n = part.n_shards
-        shard_tasks: List[List[Task]] = [[] for _ in range(n)]
+        shard_tasks: List[List[Task]] = [[] for _ in range(part.n_shards)]
         for task in tasks:
             shard_tasks[part.shard_of(task.location)].append(task)
-        euclid = bool(getattr(self.instance.metric, "euclidean_lower_bound", False))
-        all_sids = list(range(n))
-        shard_workers: List[List[Worker]] = [[] for _ in range(n)]
+        shard_workers: List[List[Worker]] = [[] for _ in range(part.n_shards)]
+        if not getattr(self.instance.metric, "euclidean_lower_bound", False):
+            return shard_workers, shard_tasks, list(workers), latest
         border: List[Worker] = []
-        registrations: List[Tuple[Worker, List[int]]] = []
         for worker in workers:
-            if euclid:
-                sids = part.shards_overlapping_disc(
-                    worker.location, reach_radius(worker, latest, now)
-                )
-            else:
-                sids = all_sids
+            sids = part.shards_overlapping_disc(
+                worker.location, reach_radius(worker, latest, now)
+            )
             if len(sids) > 1:
                 border.append(worker)
-                if exclude_border:
-                    continue
-            registrations.append((worker, sids))
-            for sid in sids:
-                shard_workers[sid].append(worker)
-        return shard_workers, shard_tasks, border, latest, registrations
+            else:
+                shard_workers[sids[0]].append(worker)
+        return shard_workers, shard_tasks, border, latest
 
     def _global_index_cell(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
     ) -> Optional[float]:
-        """Replicate ``AllocationEngine._make_index``'s sizing decision."""
-        if (
-            not self.use_index
-            or not self.metric.euclidean_lower_bound
-            or not tasks
-        ):
+        """The unsharded engine's index cell decision over the whole batch."""
+        euclid = getattr(self.instance.metric, "euclidean_lower_bound", False)
+        if not self.use_index or not euclid or not tasks:
             return None
-        latest = max(t.deadline for t in tasks)
-        spans = [reach_radius(w, latest, now) for w in workers]
-        positive = sorted(s for s in spans if s > 0.0)
-        cell = positive[len(positive) // 2] if positive else 1.0
-        xs = [t.location[0] for t in tasks]
-        ys = [t.location[1] for t in tasks]
-        extent = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        if cell > extent / 2.0:
-            return None
-        floor_cell = extent / max(4.0, math.sqrt(len(tasks)) * 2.0)
-        return max(cell, floor_cell, 1e-9)
+        return index_cell_size(workers, tasks, now)
 
     def _sync_shards(
         self,
@@ -725,31 +426,27 @@ class ShardedEngine:
         shard_tasks: Sequence[Sequence[Task]],
         now: float,
         latest: float,
-        registrations: Sequence[Tuple[Worker, List[int]]],
     ) -> None:
         if self._synced and now < self._now:
             # Time went backwards: the shard engines will reset and rebuild;
-            # mirror the global engine's full_builds accounting.
+            # count it as a full build, as the unsharded engine does.
             self._synced = False
         first = not self._synced
         if first:
             self._cell = self._global_index_cell(workers, tasks, now)
         if self._cell is not None:
-            # Pruning compensation: a recomputed row prunes against its
-            # registered shards' tasks only; the global engine would also
-            # have pruned the other shards' tasks.
-            n_total = len(tasks)
-            counts = [len(ts) for ts in shard_tasks]
-            engines = self.engines
+            # A recomputed core row prunes against its own shard's tasks;
+            # routing ruled out the other shards' tasks, so count them as
+            # index-pruned too (see the module docstring).
             adjust = 0
-            for worker, sids in registrations:
-                dirty = any(
-                    not engines[sid]._built
-                    or engines[sid]._workers.get(worker.id) != worker
-                    for sid in sids
-                )
-                if dirty:
-                    adjust += n_total - sum(counts[sid] for sid in sids)
+            for sid, shard_engine in enumerate(self.engines):
+                others = len(tasks) - len(shard_tasks[sid])
+                for worker in shard_workers[sid]:
+                    if (
+                        not shard_engine._built
+                        or shard_engine._workers.get(worker.id) != worker
+                    ):
+                        adjust += others
             if adjust:
                 self.counters.pruned_by_index += adjust
         journal = self.journal
@@ -798,28 +495,10 @@ class ShardedEngine:
         payloads: Sequence[Tuple[int, List[Worker], List[Task], Dict[int, List[int]]]],
         now: float,
         previously_assigned: AbstractSet[int],
-    ) -> List[Optional[AllocationOutcome]]:
-        """Run each shard's allocator; serial and fanned paths agree.
-
-        The fan-out ships prebuilt feasibility rows (plain id dicts), so
-        children never rebuild graphs; outputs are identical to the serial
-        path because observability never feeds back.  Journaled or traced
-        runs stay serial so per-shard events and spans are recorded.
-        """
+    ) -> List[AllocationOutcome]:
+        """Run each shard's allocator over its prebuilt feasibility rows."""
         frozen = frozenset(previously_assigned)
-        if (
-            self.n_jobs > 1
-            and len(payloads) > 1
-            and not self.journal.enabled
-            and not self.tracer.enabled
-        ):
-            jobs = [
-                (allocator, ws, ts, self.instance, now, frozen, rows)
-                for (_, ws, ts, rows) in payloads
-            ]
-            with self.tracer.span("shard.phase1_fanout"):
-                return ordered_map(_phase1_job, jobs, self.n_jobs)
-        outcomes: List[Optional[AllocationOutcome]] = []
+        outcomes: List[AllocationOutcome] = []
         journal = self.journal
         for sid, ws, ts, rows in payloads:
             if journal.enabled:

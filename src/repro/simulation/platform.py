@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.algorithms.base import AllocationOutcome, BatchAllocator
-from repro.core.assignment import Assignment
+from repro.core.constraints import FeasibilityChecker
 from repro.core.instance import ProblemInstance
 from repro.core.worker import Worker
 from repro.engine.context import BatchContext
@@ -26,7 +26,6 @@ from repro.engine.engine import AllocationEngine
 from repro.obs.events import EventJournal, get_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer
-from repro.shard.engine import MODES as SHARD_MODES
 from repro.shard.engine import ShardedEngine
 from repro.shard.partition import SCHEMES as SHARD_SCHEMES
 from repro.simulation.events import Event, EventKind, EventLog
@@ -79,12 +78,8 @@ class Platform:
             engine's counters/gauges.  None keeps the engine's metrics in a
             private registry, exposed after the run as
             :attr:`metrics_registry`.
-        n_jobs: worker processes for the engine's chunked feasibility
-            kernel on full builds (1 = serial, negative = all CPUs).
-            Reports are bit-identical for every value.
-        parallel_threshold: minimum uncached pair count before a full
-            build fans out; None uses the engine default.
-        use_columnar: route the engine's full feasibility builds through
+        use_columnar: route feasibility builds — the engine's, or the
+            fresh per-batch checker's when ``use_engine`` is off — through
             the vectorised columnar kernels (planar metrics only).  None
             follows the process default
             (:func:`repro.columnar.default_columnar`); reports and
@@ -102,15 +97,13 @@ class Platform:
             (:func:`repro.obs.events.get_journal`), a no-op unless
             installed.
         shards: spatial shards for the engine (1 = the plain unsharded
-            engine).  ``shards >= 2`` builds batch contexts through a
+            engine).  ``shards >= 2`` solves each batch through a
             :class:`~repro.shard.engine.ShardedEngine` — requires
-            ``use_engine`` — whose ``exact`` mode produces bit-identical
-            reports for every allocator.
+            ``use_engine`` — which runs the allocator per shard and then
+            reconciles border workers: a different algorithm from the
+            unsharded run, with quality measured rather than pinned (see
+            :mod:`repro.shard.engine`).
         shard_scheme: partition build scheme, ``"grid"`` or ``"kd"``.
-        shard_mode: ``"exact"`` (sharded feasibility, one global allocator
-            run) or ``"partitioned"`` (per-shard allocators plus a border
-            reconcile phase; faster at scale, quality measured rather than
-            pinned — see :mod:`repro.shard.engine`).
 
     The simulation is deterministic given a deterministic allocator; the
     tracer, metrics and journal record observations only and never feed
@@ -128,14 +121,11 @@ class Platform:
         use_engine: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        n_jobs: int = 1,
-        parallel_threshold: Optional[int] = None,
         use_columnar: Optional[bool] = None,
         use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
-        shard_mode: str = "exact",
     ) -> None:
         if batch_interval <= 0.0:
             raise ValueError(f"batch interval must be positive, got {batch_interval}")
@@ -147,10 +137,6 @@ class Platform:
             raise ValueError(
                 f"unknown shard scheme {shard_scheme!r} (expected one of {SHARD_SCHEMES})"
             )
-        if shard_mode not in SHARD_MODES:
-            raise ValueError(
-                f"unknown shard mode {shard_mode!r} (expected one of {SHARD_MODES})"
-            )
         self.instance = instance
         self.allocator = allocator
         self.batch_interval = batch_interval
@@ -159,14 +145,11 @@ class Platform:
         self.use_engine = use_engine
         self.tracer = tracer
         self.metrics = metrics
-        self.n_jobs = n_jobs
-        self.parallel_threshold = parallel_threshold
         self.use_columnar = use_columnar
         self.use_store = use_store
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
-        self.shard_mode = shard_mode
         self._metrics_registry: Optional[MetricsRegistry] = metrics
         #: The engine of the most recent :meth:`run` (None before / engineless).
         self.last_engine: Optional[AllocationEngine | ShardedEngine] = None
@@ -226,11 +209,8 @@ class Platform:
                     instance,
                     self.shards,
                     scheme=self.shard_scheme,
-                    mode=self.shard_mode,
                     tracer=tracer,
                     registry=self.metrics,
-                    n_jobs=self.n_jobs,
-                    parallel_threshold=self.parallel_threshold,
                     use_columnar=self.use_columnar,
                     use_store=self.use_store,
                     journal=journal,
@@ -240,8 +220,6 @@ class Platform:
                     instance,
                     tracer=tracer,
                     registry=self.metrics,
-                    n_jobs=self.n_jobs,
-                    parallel_threshold=self.parallel_threshold,
                     use_columnar=self.use_columnar,
                     use_store=self.use_store,
                     journal=journal,
@@ -306,7 +284,7 @@ class Platform:
                     prev_worker_ids = cur_worker_ids
                     prev_task_ids = cur_task_ids
                 if workers and tasks:
-                    if isinstance(engine, ShardedEngine) and engine.mode == "partitioned":
+                    if isinstance(engine, ShardedEngine):
                         # The two-phase protocol owns its own feasibility
                         # sync and per-shard allocator runs.
                         with tracer.span("platform.match"):
@@ -323,13 +301,18 @@ class Platform:
                             outcome = self.allocator.allocate(context)
                     else:
                         with tracer.span("platform.match"):
-                            # The explicit standalone context (rather than
-                            # the 5-arg shim) threads this run's journal and
-                            # tracer into the legacy rebuild path; the
-                            # allocation itself is unchanged.
-                            context = BatchContext.standalone(
+                            # The explicit context (rather than the 5-arg
+                            # shim) threads this run's journal, tracer and
+                            # columnar choice into the legacy fresh
+                            # rebuild; the allocation itself is unchanged.
+                            context = BatchContext(
                                 workers, tasks, instance, now,
                                 frozenset(assigned_tasks),
+                                checker_factory=lambda: FeasibilityChecker(
+                                    workers, tasks, metric=instance.metric,
+                                    now=now, use_columnar=self.use_columnar,
+                                    journal=journal,
+                                ),
                                 tracer=tracer, journal=journal,
                             )
                             outcome = self.allocator.allocate(context)

@@ -24,8 +24,7 @@ place of the Euclidean default.  This module provides that substrate:
 * :class:`RoadNetworkDistance` — a :class:`~repro.spatial.distance.DistanceMetric`
   over free points: snap both endpoints to the network, walk the network
   between them.  Declares ``supports_distance_table`` so the allocation
-  engine and the parallel feasibility kernel route whole batches through
-  one table call;
+  engine routes a whole full build's pairs through one table call;
 * :func:`grid_road_network` — a synthetic city grid (optional diagonals,
   random street closures, per-street length jitter) that stays connected by
   construction.
@@ -470,8 +469,8 @@ class RoadNetworkDistance(DistanceMetric):
     Network distance dominates the straight line, so the Euclidean pruning
     used by the feasibility index stays sound (never prunes a feasible
     pair).  Declares ``supports_distance_table`` so batch consumers (the
-    allocation engine, the parallel feasibility kernel) hand a whole pair
-    list to :meth:`distance_table` in one call.
+    allocation engine's full build) hand a whole pair list to
+    :meth:`distance_table` in one call.
     """
 
     name = "roadnet"

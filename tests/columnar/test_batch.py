@@ -1,15 +1,8 @@
 """Unit tests for the struct-of-arrays batch snapshot."""
 
-import math
-
 import pytest
 
-from repro.columnar import (
-    ColumnarBatch,
-    flatten_rows,
-    intern_skills,
-    pack_pair_columns,
-)
+from repro.columnar import ColumnarBatch, flatten_rows, intern_skills
 from repro.columnar.batch import WORD_BITS
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -101,17 +94,6 @@ class TestColumnarBatch:
 
 
 class TestPairTransport:
-    def test_pack_pair_columns_roundtrip(self):
-        pairs = [((1.0, 2.0), (3.0, 4.0)), ((-0.5, 0.0), (math.pi, -1.0))]
-        ax, ay, bx, by = pack_pair_columns(pairs)
-        for k, (a, b) in enumerate(pairs):
-            assert (ax[k], ay[k]) == a
-            assert (bx[k], by[k]) == b
-
-    def test_pack_empty(self):
-        ax, ay, bx, by = pack_pair_columns([])
-        assert len(ax) == len(ay) == len(bx) == len(by) == 0
-
     def test_flatten_rows(self):
         widx, tidx = flatten_rows([(0, [2, 1]), (1, []), (2, [0])])
         assert widx == [0, 0, 2]

@@ -208,29 +208,32 @@ class TestFeasibilityChecker:
         assert cached.misses > 0  # the scalar path actually ran
 
 
-class TestParallelTransport:
-    def test_columnar_blocks_match_per_pair(self, instance):
-        from repro.parallel.feasibility import evaluate_pairs
+class TestLegacyPath:
+    """``use_engine=False`` builds a fresh checker per batch; the flag must reach it."""
 
-        pairs = [
-            (w.location, t.location)
-            for w in instance.workers[:25]
-            for t in instance.tasks[:25]
-        ]
-        for metric in (EuclideanDistance(), ManhattanDistance()):
-            shipped = evaluate_pairs(metric, pairs, n_jobs=2)
-            assert shipped == {pair: metric(*pair) for pair in pairs}
+    def test_columnar_off_never_calls_the_kernels(self, instance, monkeypatch):
+        import repro.columnar as columnar
 
-    def test_engine_parallel_build_identical(self, instance):
+        calls = []
+
+        def counting(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("feasible_pairs", "feasible_dense"):
+            monkeypatch.setattr(columnar, name, counting(getattr(columnar, name)))
         reports = {}
-        for columnar in (True, False):
-            platform = Platform(
+        for flag in (True, False):
+            calls.clear()
+            reports[flag] = Platform(
                 instance,
-                make_allocator("Closest", seed=11),
+                make_allocator("Greedy", seed=11),
                 batch_interval=5.0,
-                n_jobs=2,
-                parallel_threshold=0,
-                use_columnar=columnar,
-            )
-            reports[columnar] = platform.run()
+                use_engine=False,
+                use_columnar=flag,
+            ).run()
+            assert bool(calls) == flag
         _assert_identical(reports[True], reports[False])

@@ -15,8 +15,6 @@ scalar columns byte-for-byte, skill/feasibility verdicts and distances
 kernel-for-kernel — which is exactly what the engine consumes.
 """
 
-import pickle
-
 import pytest
 
 from repro.algorithms.registry import APPROACH_NAMES, make_allocator
@@ -328,22 +326,3 @@ class TestPlatformStoreEquivalence:
         off_report, _ = _run(instance, name, False, shards=2)
         _assert_identical(on_report, off_report)
         assert on_aux["store_rows_touched"] > 0
-
-
-class TestBatchPickling:
-    def test_pickle_drops_the_skill_table(self):
-        workers = [_worker(i, skills=(i % 4, 5)) for i in range(6)]
-        tasks = [_task(10 + j, skill=j % 4) for j in range(5)]
-        batch = ColumnarBatch(workers, tasks)
-        clone = pickle.loads(pickle.dumps(batch))
-        assert clone.skill_table is None  # the table never crosses a pipe
-        for name in SCALARS + ("wskills", "tskill_word", "tskill_bitmask"):
-            assert getattr(clone, name).tobytes() == getattr(batch, name).tobytes()
-        assert clone.worker_ids == batch.worker_ids
-        assert clone.task_ids == batch.task_ids
-        # Kernels only read packed columns, so the clone still computes.
-        widx = [0] * len(tasks)
-        tidx = list(range(len(tasks)))
-        assert feasible_pairs(clone, widx, tidx, 0.0, "euclidean") == feasible_pairs(
-            batch, widx, tidx, 0.0, "euclidean"
-        )

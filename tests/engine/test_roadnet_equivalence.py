@@ -29,13 +29,12 @@ def _roadnet_instance(seed, accelerate):
     return instance
 
 
-def _run(instance, name, n_jobs=1):
+def _run(instance, name):
     platform = Platform(
         instance,
         make_allocator(name, seed=11),
         batch_interval=5.0,
         use_engine=True,
-        n_jobs=n_jobs,
     )
     return platform.run()
 
@@ -57,40 +56,9 @@ class TestAccelerationEquivalence:
         net = instance.metric.network
         assert net.accelerated
         assert net.hierarchy_builds == 1
-        assert net.table_queries > 0  # engine prefetch went through the table
+        assert net.table_queries > 0  # the full build went through one table call
 
     def test_plain_path_never_builds_hierarchy(self):
         instance = _roadnet_instance(7, False)
         _run(instance, "Greedy")
         assert instance.metric.network.hierarchy_builds == 0
-
-
-class TestEvaluatePairsTableRouting:
-    def test_table_capable_metric_routed_in_process(self):
-        from repro.parallel.feasibility import evaluate_pairs
-
-        metric = RoadNetworkDistance(
-            grid_road_network(
-                BoundingBox(0.0, 0.0, 1.0, 1.0), 6, 6, rng=random.Random(3),
-                jitter=0.1, accelerate=True,
-            )
-        )
-        rng = random.Random(4)
-        pairs = [
-            ((rng.random(), rng.random()), (rng.random(), rng.random()))
-            for _ in range(25)
-        ]
-        before = metric.network.table_queries
-        out = evaluate_pairs(metric, pairs, n_jobs=4)
-        # Answered by one in-process table call, not the fork pool.
-        assert metric.network.table_queries > before
-        assert out == {pair: metric(*pair) for pair in pairs}
-
-    def test_planar_metric_still_fans_out(self):
-        from repro.parallel.feasibility import evaluate_pairs
-        from repro.spatial.distance import EuclideanDistance
-
-        metric = EuclideanDistance()
-        pairs = [((0.0, 0.0), (float(i), 1.0)) for i in range(10)]
-        out = evaluate_pairs(metric, pairs, n_jobs=2)
-        assert out == {pair: metric(*pair) for pair in pairs}

@@ -65,6 +65,37 @@ class TestInstanceRoundTrip:
         assert all(t.duration == 0.0 for t in restored.tasks)
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("workers", "location", [float("nan"), 0.5], r"worker \d+: location\[0\] is nan"),
+            ("workers", "velocity", float("nan"), r"worker \d+: velocity is nan"),
+            ("workers", "max_distance", float("inf"), r"worker \d+: max_distance is inf"),
+            ("tasks", "location", [0.5, float("-inf")], r"task \d+: location\[1\] is -inf"),
+            ("tasks", "wait", float("nan"), r"task \d+: wait is nan"),
+            ("tasks", "duration", float("nan"), r"task \d+: duration is nan"),
+        ],
+        ids=[
+            "worker-location", "worker-velocity", "worker-max_distance",
+            "task-location", "task-wait", "task-duration",
+        ],
+    )
+    def test_names_entity_and_field(self, example1, kind, field, value, message):
+        data = instance_to_dict(example1)
+        data[kind][0][field] = value
+        with pytest.raises(ValueError, match=message):
+            instance_from_dict(data)
+
+    def test_nan_survives_json_and_is_rejected_on_load(self, example1, tmp_path):
+        path = tmp_path / "nan.json"
+        data = instance_to_dict(example1)
+        data["tasks"][0]["start"] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="start is nan"):
+            load_instance(path)
+
+
 class TestAssignmentRoundTrip:
     def test_round_trip(self):
         assignment = Assignment([(1, 10), (2, 20)])

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.parallel.feasibility import chunk_pairs
 from repro.parallel.pool import (
     available_cpus,
     get_executor,
@@ -71,24 +70,3 @@ class TestExecutors:
             assert get_executor(2) is not first
         finally:
             shutdown_executors()
-
-
-class TestChunkPairs:
-    def test_rejects_zero_chunks(self):
-        with pytest.raises(ValueError):
-            chunk_pairs([], 0)
-
-    def test_partition_preserves_order(self):
-        pairs = [(i, i + 1) for i in range(11)]
-        chunks = chunk_pairs(pairs, 3)
-        assert [p for chunk in chunks for p in chunk] == pairs
-        assert len(chunks) == 3
-        # Near-equal: sizes differ by at most one.
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_chunks_than_pairs(self):
-        pairs = [(0, 1), (2, 3)]
-        chunks = chunk_pairs(pairs, 5)
-        assert [p for chunk in chunks for p in chunk] == pairs
-        assert all(chunk for chunk in chunks)

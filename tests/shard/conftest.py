@@ -3,8 +3,8 @@
 ``clustered_instance`` drops the synthetic population into ``n_clusters``
 well-separated copies of the Table-V region.  With the default ``gap`` the
 clusters sit far beyond any worker's reach disc, so a 4-shard partition is
-*boundary-free*: no disc crosses a shard boundary, which is the setting
-where exact-mode ``engine_stats`` are pinned bit-identical.  A small gap
+*boundary-free*: no disc crosses a shard boundary, so every worker is a
+core worker and the per-shard subproblems are independent.  A small gap
 (``gap <= 1.0``) pushes clusters within reach of each other and
 manufactures real border workers for the reconcile tests.
 """
@@ -30,11 +30,8 @@ def clustered_instance(
     tasks = []
     for task in base.tasks:
         if tasks_at_start:
-            # Visible from batch 0 with the original deadline: stats
-            # identity requires no incremental task arrivals (the
-            # unsharded engine links an arriving task against *all*
-            # workers; a shard only against its own — that asymmetry is
-            # the perf win, not a stats-identical path).
+            # Visible from batch 0 with the original deadline, so the
+            # whole population routes at the first batch.
             tasks.append(
                 replace(task, location=moved(task), start=0.0, wait=task.start + task.wait)
             )

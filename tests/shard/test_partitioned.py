@@ -1,6 +1,6 @@
-"""The partitioned two-phase protocol: validity, reconcile, and quality.
+"""The sharded two-phase protocol: validity, reconcile, and quality.
 
-Partitioned mode trades exactness for per-shard parallelism, so the pins
+Sharding is a different algorithm from the unsharded run, so the pins
 here are structural rather than bit-level: every emitted pair is feasible
 under the *global* checker, no worker or task is ever double-assigned
 across shards or the reconcile phase, border/reconcile telemetry is
@@ -23,8 +23,8 @@ from repro.simulation.platform import Platform, RejoinPolicy
 QUALITY_FLOOR = 0.9
 
 
-def _allocate_once(instance, name="Greedy", **kwargs):
-    engine = ShardedEngine(instance, 4, mode="partitioned", **kwargs)
+def _allocate_once(instance, name="Greedy"):
+    engine = ShardedEngine(instance, 4)
     allocator = make_allocator(name, seed=11)
     now = instance.earliest_start
     outcome = engine.allocate(
@@ -72,7 +72,7 @@ class TestStructuralValidity:
 
     def test_previously_assigned_tasks_untouched(self, bordered_instance):
         instance = bordered_instance
-        engine = ShardedEngine(instance, 4, mode="partitioned")
+        engine = ShardedEngine(instance, 4)
         allocator = make_allocator("Greedy", seed=11)
         now = instance.earliest_start
         blocked = frozenset(t.id for t in instance.tasks[: len(instance.tasks) // 2])
@@ -118,18 +118,14 @@ class TestQuality:
         # worker-task pairing — and hence per-batch timing — may differ:
         # the allocator's tie-breaking sees shards one at a time instead
         # of interleaved.)
-        sharded = _platform_report(
-            boundary_free_instance, "Greedy", shards=4, shard_mode="partitioned"
-        )
+        sharded = _platform_report(boundary_free_instance, "Greedy", shards=4)
         unsharded = _platform_report(boundary_free_instance, "Greedy")
         assert _total_score(sharded) == _total_score(unsharded)
         assert sharded.expired_tasks == unsharded.expired_tasks
 
     @pytest.mark.parametrize("name", ["Greedy", "Closest"])
     def test_bordered_quality_ratio(self, bordered_instance, name):
-        sharded = _platform_report(
-            bordered_instance, name, shards=4, shard_mode="partitioned"
-        )
+        sharded = _platform_report(bordered_instance, name, shards=4)
         unsharded = _platform_report(bordered_instance, name)
         assert _total_score(unsharded) > 0
         ratio = _total_score(sharded) / _total_score(unsharded)
@@ -189,7 +185,7 @@ class TestCrossShardDependencies:
         # An even link count keeps the clusters population-balanced so the
         # KD cut lands in the 100-wide gap, not inside a cluster.
         instance = _cross_shard_chain_instance(n_links=4)
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         allocator = make_allocator(name, seed=11)
         outcome = engine.allocate(
             allocator, instance.workers, instance.tasks, 0.0, frozenset()
@@ -207,7 +203,7 @@ class TestCrossShardDependencies:
                 instance.workers, instance.tasks, instance, 0.0, frozenset()
             )
         )
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         sharded = engine.allocate(
             make_allocator("Greedy", seed=11),
             instance.workers,
@@ -219,7 +215,7 @@ class TestCrossShardDependencies:
 
     def test_retry_counter_mirrors_registry(self):
         instance = _cross_shard_chain_instance(n_links=4)
-        engine = ShardedEngine(instance, 2, mode="partitioned", scheme="kd")
+        engine = ShardedEngine(instance, 2, scheme="kd")
         outcome = engine.allocate(
             make_allocator("Closest", seed=11),
             instance.workers,
@@ -241,29 +237,58 @@ class TestCrossShardDependencies:
         )
 
 
-class TestParallelPhase1:
-    def test_fanout_identical_to_serial(self, bordered_instance):
-        serial_engine, serial, _ = _allocate_once(bordered_instance, n_jobs=1)
-        fanned_engine, fanned, _ = _allocate_once(
-            bordered_instance, n_jobs=2, parallel_threshold=0
-        )
-        assert list(fanned.assignment.pairs()) == list(serial.assignment.pairs())
-        assert fanned.stats["shard_reconcile_assigned"] == (
-            serial.stats["shard_reconcile_assigned"]
-        )
+class TestEngineLifecycle:
+    def test_incremental_second_batch_is_incremental(self, boundary_free_instance):
+        instance = boundary_free_instance
+        now = instance.earliest_start
+        engine = ShardedEngine(instance, 4)
+        allocator = make_allocator("Greedy", seed=11)
+        engine.allocate(allocator, instance.workers, instance.tasks, now)
+        first = engine.stats()["engine_full_builds"]
+        engine.allocate(allocator, instance.workers, instance.tasks, now + 5.0)
+        stats = engine.stats()
+        assert stats["engine_full_builds"] == first
+        assert stats["engine_incremental_updates"] >= 1
 
-    def test_platform_fanout_identical(self, bordered_instance):
-        serial = _platform_report(
-            bordered_instance, "Greedy", shards=4, shard_mode="partitioned"
-        )
-        fanned = _platform_report(
-            bordered_instance,
-            "Greedy",
-            shards=4,
-            shard_mode="partitioned",
-            n_jobs=2,
-            parallel_threshold=0,
-        )
-        assert fanned.assignments == serial.assignments
-        assert fanned.completion_times == serial.completion_times
-        assert fanned.expired_tasks == serial.expired_tasks
+    def test_time_backwards_resets(self, boundary_free_instance):
+        instance = boundary_free_instance
+        engine = ShardedEngine(instance, 4)
+        allocator = make_allocator("Greedy", seed=11)
+        engine.allocate(allocator, instance.workers, instance.tasks, 10.0)
+        engine.allocate(allocator, instance.workers, instance.tasks, 0.0)
+        assert engine.stats()["engine_full_builds"] >= 2
+
+    def test_needs_at_least_two_shards(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="n_shards"):
+            ShardedEngine(boundary_free_instance, 1)
+
+
+class TestPlatformValidation:
+    def test_shards_require_engine(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="use_engine"):
+            Platform(
+                boundary_free_instance,
+                make_allocator("Greedy", seed=11),
+                batch_interval=5.0,
+                use_engine=False,
+                shards=2,
+            )
+
+    def test_bad_scheme_rejected(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="shard scheme"):
+            Platform(
+                boundary_free_instance,
+                make_allocator("Greedy", seed=11),
+                batch_interval=5.0,
+                shards=2,
+                shard_scheme="voronoi",
+            )
+
+    def test_shards_below_one_rejected(self, boundary_free_instance):
+        with pytest.raises(ValueError, match="shards"):
+            Platform(
+                boundary_free_instance,
+                make_allocator("Greedy", seed=11),
+                batch_interval=5.0,
+                shards=0,
+            )

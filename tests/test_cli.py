@@ -321,3 +321,88 @@ class TestFlightRecorder:
         # replayable runs but the journal itself is complete and valid.
         assert any(r.get("type") == "feas_build" for r in records)
         assert split_runs(records) == []
+
+
+SUBCOMMANDS = ["list", "run", "generate", "lint", "solve", "explain", "report"]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_subcommand_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "usage: dasc" in capsys.readouterr().out
+
+    def test_solve_help_lists_every_approach_and_no_removed_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        out = capsys.readouterr().out
+        assert "Game-5%" in out
+        for flag in ("--jobs", "--parallel-threshold", "--shard-mode"):
+            assert flag not in out
+
+
+def _write_instance(tmp_path, mutate):
+    path = tmp_path / "inst.json"
+    main(["generate", "synthetic", "--out", str(path),
+          "--workers", "15", "--tasks", "20", "--seed", "3"])
+    data = json.loads(path.read_text())
+    mutate(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _nan_location(data):
+    data["workers"][2]["location"][1] = float("nan")
+
+
+def _cycle(data):
+    first, second = data["tasks"][0], data["tasks"][1]
+    first["dependencies"] = [second["id"]]
+    second["dependencies"] = [first["id"]]
+
+
+class TestLoadErrors:
+    @pytest.mark.parametrize("command", ["solve", "lint"])
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [(_nan_location, "location[1] is nan"), (_cycle, "dependency cycle")],
+        ids=["nan", "cycle"],
+    )
+    def test_bad_instance_is_one_line_exit_2(
+        self, tmp_path, capsys, command, mutate, needle
+    ):
+        path = _write_instance(tmp_path, mutate)
+        capsys.readouterr()
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert needle in out
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "lint"])
+    def test_missing_path_is_one_line_exit_2(self, tmp_path, capsys, command):
+        assert main([command, str(tmp_path / "absent.json")]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+    def test_bad_json_is_one_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": ')
+        assert main(["solve", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
+class TestShardsAndJobs:
+    def test_solve_shards_runs_the_two_phase_protocol(self, tmp_path, capsys):
+        path = _write_instance(tmp_path, lambda data: None)
+        assert main(["solve", str(path), "--batch-interval", "5",
+                     "--shards", "2", "--engine-stats"]) == 0
+        assert "score=" in capsys.readouterr().out
+
+    def test_run_jobs_still_fans_out(self, capsys):
+        assert main(["run", "table6", "--scale", "0.3", "--seed", "3",
+                     "--jobs", "2"]) == 0
+        assert "assignment score" in capsys.readouterr().out
