@@ -52,17 +52,12 @@ Two checks, one exit code:
    perform at least 5x more interpreter-level per-candidate utility
    evaluations (``game_scalar_evals`` counter) than the kernel path.
    Counter arithmetic only — deterministic on 1-CPU hosts.
-8. **Store scale gate** — runs the ``bench_store`` 100k-entity wave
-   workload with the persistent column store on and off, asserts the
-   feasibility graphs, ``engine_stats`` and distance-cache trajectories
-   are bit-identical (exactness precondition), and requires a per-batch
-   rebuild to convert at least 5x more object->column rows than the store
-   actually re-packed (``store_rows_touched`` /
-   ``store_rebuild_rows_avoided`` counters).  The warm-start matching
-   workload rides along: the memo must replay repeated staffing queries
-   (``matching_warm_starts`` > 0) with identical solutions and strictly
-   fewer ``matching_augment_rounds`` than the cold solver.  Counter
-   arithmetic only — deterministic on 1-CPU hosts.
+8. **Warm matching gate** — runs the ``bench_warm_matching``
+   repeated-staffing workload with and without a ``MatchMemo``: the memo
+   must return identical solutions, replay repeated queries
+   (``matching_warm_starts`` > 0) and need strictly fewer
+   ``matching_augment_rounds`` than the cold solver.  Counter arithmetic
+   only — deterministic on 1-CPU hosts.
 
 Exit codes: 0 all pass (or no baseline yet for the wall gate), 1 any fail.
 
@@ -70,8 +65,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/check_perf_gate.py [--threshold 1.25]
         [--min-eval-ratio 5.0] [--min-settled-ratio 5.0]
-        [--min-columnar-ratio 5.0]
-        [--min-store-ratio 5.0] [--min-game-kernel-ratio 5.0]
+        [--min-columnar-ratio 5.0] [--min-game-kernel-ratio 5.0]
 """
 
 from __future__ import annotations
@@ -100,13 +94,12 @@ ROADNET_ENTRY = "roadnet_settled_gate"
 COLUMNAR_ENTRY = "columnar_pair_gate"
 EVENTS_ENTRY = "events_disabled_gate"
 SHARD_ENTRY = "shard_scaleout_gate"
-STORE_ENTRY = "store_scale_gate"
+WARM_MATCHING_ENTRY = "warm_matching_gate"
 GAME_KERNEL_ENTRY = "game_kernel_gate"
 ROUNDS = 3
 MIN_EVAL_RATIO = 5.0
 MIN_SETTLED_RATIO = 5.0
 MIN_COLUMNAR_RATIO = 5.0
-MIN_STORE_RATIO = 5.0
 MIN_GAME_KERNEL_RATIO = 5.0
 
 
@@ -296,29 +289,13 @@ def check_shard_scaleout() -> bool:
     return ok
 
 
-def check_store_row_ratio(min_ratio: float) -> bool:
-    """Counter-only gate on the persistent store's conversion savings."""
-    from bench_store import (
-        SCALE_ENTITIES,
-        STORE_CONFIG,
-        assert_engines_identical,
-        make_scale_workload,
-        run_matching_workload,
-        run_scale_workload,
-        store_row_ratio,
-    )
+def check_warm_matching() -> bool:
+    """Counter-only gate on the warm-start matching memo."""
+    from bench_warm_matching import run_matching_workload
 
-    workload = make_scale_workload(SCALE_ENTITIES, seed=STORE_CONFIG["seed"])
-    on_engine, on_aux, wall_ms = run_scale_workload(workload, True)
-    off_engine, _, _ = run_scale_workload(workload, False)
-    try:  # exactness is a precondition of the perf claim
-        assert_engines_identical(on_engine, off_engine)
-    except AssertionError as exc:
-        print(f"FAIL: store on/off engines diverge ({exc})")
-        return False
-
-    ratio = store_row_ratio(on_aux)
+    started = time.perf_counter()
     warm_results, warm = run_matching_workload(True)
+    wall_ms = (time.perf_counter() - started) * 1000.0
     cold_results, cold = run_matching_workload(False)
     if warm_results != cold_results:
         print("FAIL: warm-start matching solutions diverge from cold solves")
@@ -326,33 +303,23 @@ def check_store_row_ratio(min_ratio: float) -> bool:
     warm_rounds = warm["matching_augment_rounds"]
     cold_rounds = cold["matching_augment_rounds"]
     round_ratio = cold_rounds / max(warm_rounds, 1)
-
     record_bench_entry(
-        STORE_ENTRY,
-        dict(STORE_CONFIG, min_row_ratio=min_ratio),
+        WARM_MATCHING_ENTRY,
+        {"workload": "hall+feasible sets x 25 rounds", "method": "hungarian"},
         wall_ms,
         {
-            "store_rows_touched": on_aux["store_rows_touched"],
-            "store_rebuild_rows_avoided": on_aux["store_rebuild_rows_avoided"],
-            "row_ratio": round(ratio, 3),
             "matching_warm_starts": warm["matching_warm_starts"],
             "warm_augment_rounds": warm_rounds,
             "cold_augment_rounds": cold_rounds,
             "augment_round_ratio": round(round_ratio, 3),
         },
     )
-    ok = (
-        ratio >= min_ratio
-        and warm["matching_warm_starts"] > 0
-        and warm_rounds < cold_rounds
-    )
+    ok = warm["matching_warm_starts"] > 0 and warm_rounds < cold_rounds
     verdict = "PASS" if ok else "FAIL"
     print(
-        f"{verdict}: store row ratio {ratio:.2f}x "
-        f"({on_aux['store_rebuild_rows_avoided']:.0f} rebuild rows avoided vs "
-        f"{on_aux['store_rows_touched']:.0f} packed; floor x{min_ratio}), "
-        f"warm matching {warm_rounds:.0f} augment rounds vs {cold_rounds:.0f} "
-        f"cold (x{round_ratio:.1f}, {warm['matching_warm_starts']:.0f} replays)"
+        f"{verdict}: warm matching {warm_rounds:.0f} augment rounds vs "
+        f"{cold_rounds:.0f} cold (x{round_ratio:.1f}, "
+        f"{warm['matching_warm_starts']:.0f} replays)"
     )
     return ok
 
@@ -503,14 +470,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(default {MIN_COLUMNAR_RATIO}; deterministic, no wall-clock)",
     )
     parser.add_argument(
-        "--min-store-ratio",
-        type=float,
-        default=MIN_STORE_RATIO,
-        help="fail when a per-batch rebuild converts fewer than THIS x "
-        "object->column rows relative to the persistent store's re-packs "
-        f"(default {MIN_STORE_RATIO}; deterministic, no wall-clock)",
-    )
-    parser.add_argument(
         "--min-game-kernel-ratio",
         type=float,
         default=MIN_GAME_KERNEL_RATIO,
@@ -542,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     game_ok = check_game_eval_ratio(args.min_eval_ratio)
     columnar_ok = check_columnar_pair_ratio(args.min_columnar_ratio)
     shard_ok = check_shard_scaleout()
-    store_ok = check_store_row_ratio(args.min_store_ratio)
+    warm_matching_ok = check_warm_matching()
     game_kernel_ok = check_game_kernel_ratio(args.min_game_kernel_ratio)
     events_ok = check_events_disabled_overhead(
         instance, report, baseline_ms, args.threshold, args.rounds
@@ -552,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         and game_ok
         and columnar_ok
         and shard_ok
-        and store_ok
+        and warm_matching_ok
         and game_kernel_ok
         and events_ok
     )

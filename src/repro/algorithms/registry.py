@@ -26,8 +26,8 @@ def make_allocator(
         alpha: Eq. 3 normalisation parameter for the game variants.
         game_incremental: run the game variants' dirty-set best-response
             engine (default).  ``False`` replays the naive full-rescan loop
-            — bit-identical outputs, only work counters differ (the CLI's
-            ``--naive-game`` escape hatch and the benchmarks' baseline).
+            — bit-identical outputs, only work counters differ (the
+            reference the tests and benchmarks compare against).
 
     Raises:
         KeyError: for an unknown name.

@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_roadnet_arguments(run)
     _add_columnar_arguments(run)
-    _add_store_arguments(run)
     _add_game_kernel_arguments(run)
     _add_obs_arguments(run)
     _add_events_arguments(run)
@@ -77,13 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=7)
     solve.add_argument("--batch-interval", type=float, default=None, help="run the dynamic platform with this interval instead of a single batch")
     solve.add_argument("--no-engine", action="store_true", help="disable the shared allocation engine (fresh feasibility rebuild per batch)")
-    solve.add_argument(
-        "--naive-game",
-        action="store_true",
-        help="run the game approaches with the naive full-rescan best-response "
-        "loop instead of the dirty-set engine (bit-identical output, more work "
-        "— for measuring the incremental engine's savings)",
-    )
     solve.add_argument("--engine-stats", action="store_true", help="print the engine's counters after a platform run")
     solve.add_argument(
         "--replay-check",
@@ -94,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_shard_arguments(solve)
     _add_roadnet_arguments(solve)
     _add_columnar_arguments(solve)
-    _add_store_arguments(solve)
     _add_game_kernel_arguments(solve)
     _add_obs_arguments(solve)
     _add_events_arguments(solve)
@@ -210,33 +201,6 @@ def _apply_columnar(args: argparse.Namespace) -> None:
         from repro.columnar import set_default_columnar
 
         set_default_columnar(args.columnar)
-
-
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        dest="store",
-        action="store_true",
-        default=None,
-        help="maintain the columnar snapshots in a persistent delta-synced "
-        "column store instead of rebuilding them every batch (bit-identical "
-        "reports and engine stats; pays off on large populations; requires "
-        "the columnar path)",
-    )
-    parser.add_argument(
-        "--no-store",
-        dest="store",
-        action="store_false",
-        help="force per-batch snapshot rebuilds (bit-identical — for "
-        "measuring the store's conversion savings)",
-    )
-
-
-def _apply_store(args: argparse.Namespace) -> None:
-    if getattr(args, "store", None) is not None:
-        from repro.columnar import set_default_store
-
-        set_default_store(args.store)
 
 
 def _add_game_kernel_arguments(parser: argparse.ArgumentParser) -> None:
@@ -367,7 +331,6 @@ def _obs_report(args: argparse.Namespace, tracer, *registries, journal=None) -> 
 def _cmd_run(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
-    _apply_store(args)
     _apply_game_kernels(args)
     kwargs = {"seed": args.seed, "n_jobs": args.jobs}
     if args.scale is not None:
@@ -467,14 +430,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _apply_roadnet_acceleration(args)
     _apply_columnar(args)
-    _apply_store(args)
     _apply_game_kernels(args)
     instance = _load_instance(args.instance)
     if instance is None:
         return 2
-    allocator = make_allocator(
-        args.approach, seed=args.seed, game_incremental=not args.naive_game
-    )
+    allocator = make_allocator(args.approach, seed=args.seed)
     tracer = _obs_tracer(args)
     journal = _obs_journal(args)
     metrics_registry = None

@@ -13,12 +13,6 @@ The process-wide toggle (:func:`set_default_columnar`, surfaced as the CLI
 ``--columnar/--no-columnar`` flags) defaults to *auto*: on exactly when
 numpy is importable.
 
-:mod:`repro.columnar.store` adds the persistent, delta-maintained layer on
-top: a process-lifetime :class:`ColumnStore` arena with stable skill
-interning whose :meth:`~ColumnStore.view` slices kernel-compatible batches
-without re-converting unchanged entities (opt-in via
-:func:`set_default_store` / the CLI ``--store`` flag).
-
 :mod:`repro.columnar.game_kernels` extends the same seam to the
 best-response and local-search hot loops: :class:`GameSweeper` computes a
 dirty worker's whole candidate-utility vector in one columnar sweep and
@@ -32,14 +26,7 @@ from repro.columnar.batch import (
     flatten_rows,
     intern_skills,
 )
-from repro.columnar.store import (
-    ColumnStore,
-    InterningCache,
-    RowArena,
-    SkillInterner,
-    default_store,
-    set_default_store,
-)
+from repro.columnar.store import RowArena
 from repro.columnar.game_kernels import (
     GAME_KERNEL_MIN_CANDIDATES,
     GAME_KERNEL_MIN_PAIRS,
@@ -61,7 +48,6 @@ from repro.columnar.kernels import (
     feasible_dense,
     feasible_pairs,
     numpy_available,
-    pair_distances,
     rejection_reasons,
     rejection_reasons_dense,
     resolve_backend,
@@ -72,13 +58,11 @@ from repro.columnar.kernels import (
 
 __all__ = [
     "CODES",
-    "ColumnStore",
     "ColumnarBatch",
     "GAME_KERNEL_MIN_CANDIDATES",
     "GAME_KERNEL_MIN_PAIRS",
     "GameColumns",
     "GameSweeper",
-    "InterningCache",
     "REASON_DEADLINE",
     "REASON_FEASIBLE",
     "REASON_NAMES",
@@ -86,23 +70,19 @@ __all__ = [
     "REASON_SKILL",
     "RowArena",
     "SearchColumns",
-    "SkillInterner",
     "available_backends",
     "default_columnar",
     "default_game_kernels",
-    "default_store",
     "feasible_dense",
     "feasible_pairs",
     "flatten_rows",
     "intern_skills",
     "numpy_available",
-    "pair_distances",
     "rejection_reasons",
     "rejection_reasons_dense",
     "resolve_backend",
     "set_default_columnar",
     "set_default_game_kernels",
-    "set_default_store",
     "skill_candidates_dense",
     "true_positions",
 ]

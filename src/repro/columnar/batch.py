@@ -20,7 +20,7 @@ on the object records at the edges of the system.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: Bits per packed skill word.
 WORD_BITS = 64
@@ -91,19 +91,8 @@ class ColumnarBatch:
         "task_ids",
     )
 
-    def __init__(
-        self,
-        workers: Sequence,
-        tasks: Sequence,
-        table: Optional[Dict[int, Tuple[int, int]]] = None,
-    ) -> None:
-        # A caller-provided table (e.g. the engine's cached interning
-        # table, see repro.columnar.store.InterningCache) must cover every
-        # skill present — a missing skill raises KeyError below rather
-        # than packing a wrong mask.  Supersets are fine: kernels test
-        # mask membership only, never bit order or table width.
-        if table is None:
-            table = intern_skills(workers, tasks)
+    def __init__(self, workers: Sequence, tasks: Sequence) -> None:
+        table = intern_skills(workers, tasks)
         words = max(1, -(-len(table) // WORD_BITS))
         self.skill_table = table
         self.n_workers = len(workers)
@@ -150,10 +139,9 @@ class ColumnarBatch:
         )
 
     def __repr__(self) -> str:
-        skills = "-" if self.skill_table is None else len(self.skill_table)
         return (
             f"ColumnarBatch(workers={self.n_workers}, tasks={self.n_tasks}, "
-            f"skills={skills}, words={self.n_skill_words})"
+            f"skills={len(self.skill_table)}, words={self.n_skill_words})"
         )
 
 

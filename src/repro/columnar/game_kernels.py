@@ -7,8 +7,8 @@ per candidate.  :class:`GameSweeper` computes the whole utility vector in
 one sweep over columns packed once per allocation: hypothetical task
 values, ``nw`` crowd counts and a valid-bit overlay of the state's value
 memo, gathered through CSR candidate rows held in a
-:class:`~repro.columnar.store.RowArena` (the PR 9 arena idiom — no
-per-round re-packing, only dirty deltas are synced by the
+:class:`~repro.columnar.store.RowArena` (no per-round re-packing, only
+dirty deltas are synced by the
 :class:`~repro.algorithms.utility.GameState` hooks).
 
 :class:`SearchColumns` is the sibling for ``LocalSearchImprover``: dense
@@ -44,8 +44,7 @@ The sweeper therefore never changes moves, rounds, scores, reports or
 
 Engagement floors
 -----------------
-Packing columns only pays above a workload floor, mirroring the engine's
-``COLUMNAR_SYNC_MIN_PAIRS`` precedent:
+Packing columns only pays above a workload floor:
 
 * :data:`GAME_KERNEL_MIN_PAIRS` — total strategy-pair count
   (``sum_w |S_w|``) under which no columns are built at all;
@@ -81,8 +80,7 @@ _SWEEP_CANDIDATES = REGISTRY.counter(
 #: Total strategy pairs (``sum_w |S_w|``) below which the game kernels stay
 #: disengaged for the whole allocation.  Measured on the 500x500 bench
 #: family: below ~2k pairs the column packing itself costs more than the
-#: scalar sweeps it replaces (same methodology as the engine's
-#: ``COLUMNAR_SYNC_MIN_PAIRS``).
+#: scalar sweeps it replaces.
 GAME_KERNEL_MIN_PAIRS = 2048
 
 #: Per-row floor: an engaged sweeper still routes rows shorter than this

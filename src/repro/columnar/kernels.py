@@ -36,7 +36,6 @@ scalars.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from repro.columnar.batch import ColumnarBatch
@@ -103,55 +102,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return backend
 
 
-# -- distance columns --------------------------------------------------------------
-
-
-def pair_distances(
-    code: str,
-    ax: Sequence[float],
-    ay: Sequence[float],
-    bx: Sequence[float],
-    by: Sequence[float],
-    backend: Optional[str] = None,
-) -> array:
-    """Metric distances over four parallel coordinate columns.
-
-    Returns an ``array('d')`` whose entries are bitwise-equal to the scalar
-    metric (``math.hypot`` / ``abs``-sum) applied pairwise — on either
-    backend.
-    """
-    if code not in CODES:
-        raise ValueError(f"unknown columnar metric code {code!r}")
-    if resolve_backend(backend) == "numpy" and len(ax) > 0:
-        a_x = _np.frombuffer(ax, dtype=_np.float64) if isinstance(ax, array) else _np.asarray(ax, dtype=_np.float64)
-        a_y = _np.frombuffer(ay, dtype=_np.float64) if isinstance(ay, array) else _np.asarray(ay, dtype=_np.float64)
-        b_x = _np.frombuffer(bx, dtype=_np.float64) if isinstance(bx, array) else _np.asarray(bx, dtype=_np.float64)
-        b_y = _np.frombuffer(by, dtype=_np.float64) if isinstance(by, array) else _np.asarray(by, dtype=_np.float64)
-        dx = a_x - b_x
-        dy = a_y - b_y
-        if code == "manhattan":
-            return array("d", (_np.abs(dx) + _np.abs(dy)).tolist())
-        # Euclidean: deltas vectorise; the hypot itself must match
-        # math.hypot bit-for-bit, which numpy.hypot does not guarantee.
-        return array("d", map(math.hypot, dx.tolist(), dy.tolist()))
-    if code == "manhattan":
-        return array(
-            "d",
-            (
-                abs(ax[k] - bx[k]) + abs(ay[k] - by[k])
-                for k in range(len(ax))
-            ),
-        )
-    return array(
-        "d",
-        map(
-            math.hypot,
-            (ax[k] - bx[k] for k in range(len(ax))),
-            (ay[k] - by[k] for k in range(len(ay))),
-        ),
-    )
-
-
 # -- tile kernels ------------------------------------------------------------------
 
 
@@ -180,6 +130,8 @@ def feasible_pairs(
         would have evaluated a distance for), and the exact distances.
         Masks are ``bytes`` (0/1 per pair); distances a python-float list.
     """
+    if code not in CODES:
+        raise ValueError(f"unknown columnar metric code {code!r}")
     count = len(widx)
     if count != len(tidx):
         raise ValueError(f"widx/tidx length mismatch: {count} vs {len(tidx)}")
@@ -235,7 +187,7 @@ def _feasible_pairs_numpy(
     depart = np.maximum(wstart, tstart)
     if now != -math.inf:
         depart = np.maximum(depart, now)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # velocity == 0, dist > 0 -> inf -> fails the comparison, exactly
         # the scalar early-return; 0/0's nan is masked by the dist == 0 arm.
         arrival_ok = depart + dist / velocity <= tdeadline
@@ -359,7 +311,7 @@ def skill_candidates_dense(
         depart = np.maximum(wstart, tstart)
         if now != -math.inf:
             depart = np.maximum(depart, now)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             arrival_ok = depart + dist / velocity <= tdeadline
         mask = (
             (dist <= reach)
@@ -502,7 +454,7 @@ def _rejection_reasons_numpy(
     depart = np.maximum(wstart, tstart)
     if now != -math.inf:
         depart = np.maximum(depart, now)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         arrival_ok = depart + dist / velocity <= tdeadline
     time_ok = (
         (depart <= tdeadline) & (depart <= wdeadline) & ((dist == 0.0) | arrival_ok)
@@ -646,7 +598,7 @@ def feasible_dense(
         depart = np.maximum(wstart, tstart)
         if now != -math.inf:
             depart = np.maximum(depart, now)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             arrival_ok = depart + dist / velocity <= tdeadline
         mask = (
             skill

@@ -1,9 +1,13 @@
 """Instance linting: find structurally doomed tasks and idle capacity.
 
 `ProblemInstance` validates hard invariants (ids, skills, acyclicity); this
-module reports *soft* problems a platform operator would want surfaced
-before running allocation:
+module reports problems a platform operator would want surfaced before
+running allocation:
 
+* NaN or infinite numbers in an instance built in memory (the JSON loader
+  rejects them, but the model's range checks are all false for NaN) — an
+  error, reported alone because every other check would read the poisoned
+  distances and deadlines;
 * tasks no worker has the skill for;
 * tasks transitively doomed because an ancestor can never be completed;
 * tasks no capable worker can physically reach in time (static check);
@@ -17,8 +21,9 @@ mysteriously low scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.core.constraints import pair_feasible
 from repro.core.instance import ProblemInstance
@@ -40,6 +45,7 @@ class LintFinding:
 
 
 #: Finding codes, in report order.
+NON_FINITE_VALUE = "non-finite-value"
 NO_SKILLED_WORKER = "task-no-skilled-worker"
 UNREACHABLE_TASK = "task-unreachable"
 DOOMED_BY_ANCESTOR = "task-doomed-by-ancestor"
@@ -48,9 +54,44 @@ UNPRACTISED_SKILL = "skill-unpractised"
 UNDEMANDED_SKILL = "skill-undemanded"
 
 
-def lint_instance(instance: ProblemInstance) -> List[LintFinding]:
-    """Run every lint over the instance; findings come back grouped by code."""
+#: Entity kind -> numeric fields checked for NaN/inf besides ``location``.
+_NUMBER_FIELDS = {
+    "worker": ("start", "wait", "velocity", "max_distance"),
+    "task": ("start", "wait", "duration"),
+}
+
+
+def _non_finite(instance: ProblemInstance) -> List[LintFinding]:
+    """One finding per NaN/inf number, worded like ``instance_from_dict``."""
     findings: List[LintFinding] = []
+    entities = [("worker", w) for w in instance.workers]
+    entities += [("task", t) for t in instance.tasks]
+    for kind, entity in entities:
+        numbers: List[Tuple[str, float]] = [
+            (f"location[{axis}]", v) for axis, v in enumerate(entity.location)
+        ]
+        numbers += [(name, getattr(entity, name)) for name in _NUMBER_FIELDS[kind]]
+        for label, value in numbers:
+            if not math.isfinite(value):
+                findings.append(
+                    LintFinding(
+                        NON_FINITE_VALUE,
+                        entity.id,
+                        f"{kind} {entity.id!r}: {label} is {value!r}",
+                    )
+                )
+    return findings
+
+
+def lint_instance(instance: ProblemInstance) -> List[LintFinding]:
+    """Run every lint over the instance; findings come back grouped by code.
+
+    Non-finite numbers are an error that short-circuits the soft checks:
+    their findings come back alone.
+    """
+    findings = _non_finite(instance)
+    if findings:
+        return findings
     practised: Set[int] = set()
     for worker in instance.workers:
         practised |= worker.skills

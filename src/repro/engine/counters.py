@@ -71,16 +71,8 @@ _AUX_COUNTER_FIELDS = (
         "scalar_pair_evals",
         "candidate pairs decided by interpreter-level per-pair evaluation",
     ),
-    (
-        "store_rows_touched",
-        "entity rows actually (re)packed object->column by the persistent "
-        "column store",
-    ),
-    (
-        "store_rebuild_rows_avoided",
-        "entity rows a per-batch rebuild would have converted but the "
-        "persistent store served unchanged",
-    ),
+    # Always 0 (there is no column store); perfbench/ledger.py reads it.
+    ("store_rows_touched", "always 0: there is no persistent column store"),
     (
         "game_kernel_sweeps",
         "candidate rows evaluated vectorised by the columnar game kernels",

@@ -43,7 +43,6 @@ from repro.columnar import (
     true_positions,
 )
 from repro.columnar.kernels import CODES as COLUMNAR_CODES
-from repro.columnar.store import ColumnStore, InterningCache, default_store
 from repro.core.constraints import deadline_ok, prune_rejection_reason, reach_radius
 from repro.core.instance import ProblemInstance
 from repro.core.task import Task
@@ -55,17 +54,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.spatial.cache import CachedMetric
 from repro.spatial.index import GridIndex
-
-#: Minimum pair-block size before an incremental sync routes through the
-#: columnar kernels.  Small sync blocks lose twice over: the numpy batch
-#: set-up is a fixed per-call cost, and the scalar loops they replace hit
-#: the distance cache on repeat pairs while the kernels always recompute.
-#: The floor sits at full-build scale — where the kernels are measured to
-#: win — so syncs only vectorise on genuinely bulk waves (mass rejoin,
-#: arrival bursts).  The fallback is bit-identical; only the auxiliary
-#: path counters reveal which side ran.
-COLUMNAR_SYNC_MIN_PAIRS = 4096
-
 
 def index_cell_size(
     workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -119,22 +107,10 @@ class AllocationEngine:
             :meth:`~repro.spatial.cache.CachedMetric.preload` mechanism as
             the road-network table build).  Only the auxiliary
             :meth:`~repro.engine.counters.EngineCounters.aux_dict`
-            telemetry distinguishes the modes.
-        use_store: maintain the columnar snapshots in a process-lifetime
-            :class:`~repro.columnar.store.ColumnStore` instead of
-            rebuilding them from entity objects every batch — only rows
-            whose records changed since the last sync are re-packed, and
-            kernel batches are sliced out of the persistent arena.
-            Requires the columnar path (ignored when it is off).  None
-            (default) follows the process default
-            (:func:`repro.columnar.default_store`, itself off by
-            default).  Decisions, ``engine_stats`` and the cache
-            trajectory are bit-identical either way — views carry the
-            same packed columns a fresh batch would (stable interning
-            changes bit *positions* only, which the kernels never read) —
-            while the auxiliary ``store_rows_touched`` /
-            ``store_rebuild_rows_avoided`` counters record the conversion
-            work saved.
+            telemetry distinguishes the modes.  Incremental syncs always
+            run the scalar link loop: nearly all sync pairs fail the skill
+            test, which the scalar loop rejects for less than the cost of
+            packing the pairs for a kernel call.
     """
 
     def __init__(
@@ -146,7 +122,6 @@ class AllocationEngine:
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         self.instance = instance
@@ -156,15 +131,6 @@ class AllocationEngine:
         self._columnar_code: Optional[str] = (
             columnar_code if enabled and columnar_code in COLUMNAR_CODES else None
         )
-        store_enabled = default_store() if use_store is None else use_store
-        self._store: Optional[ColumnStore] = (
-            ColumnStore()
-            if store_enabled and self._columnar_code is not None
-            else None
-        )
-        # Legacy rebuild path: cache the sorted interning table across
-        # batches, re-sorting only when the skill universe grows.
-        self._interning = InterningCache()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = EngineCounters(self.registry)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -266,7 +232,7 @@ class AllocationEngine:
         return self.counters.as_dict()
 
     def aux_stats(self) -> Dict[str, float]:
-        """The mode-dependent auxiliary telemetry (columnar/store counters)."""
+        """The mode-dependent auxiliary telemetry (columnar/game-kernel counters)."""
         return self.counters.aux_dict()
 
     @property
@@ -274,10 +240,8 @@ class AllocationEngine:
         """Whether full builds route through the columnar kernels."""
         return self._columnar_code is not None
 
-    @property
-    def store_active(self) -> bool:
-        """Whether kernel batches are served by the persistent column store."""
-        return self._store is not None
+    #: Always False (there is no column store); ``perfbench/run.py`` reads it.
+    store_active = False
 
     @property
     def num_workers(self) -> int:
@@ -290,34 +254,12 @@ class AllocationEngine:
     # -- build / update ----------------------------------------------------------
 
     def _reset(self) -> None:
-        # The column store deliberately survives a reset: its records are
-        # diffed on every sync, so stale rows cost a dict probe and rows
-        # for still-identical entities keep their conversion savings.
         self._workers.clear()
         self._tasks.clear()
         self._tasks_of.clear()
         self._workers_of.clear()
         self._index = None
         self._built = False
-
-    def _make_batch(self, workers: Sequence[Worker], tasks: Sequence[Task]) -> ColumnarBatch:
-        """Kernel-ready columnar snapshot of the given populations.
-
-        Without the store this is a per-batch rebuild (with the engine's
-        cached interning table, so the skill universe is only re-sorted
-        when it grows); with it, unchanged rows are served straight from
-        the persistent arena and only the delta is re-packed.
-        """
-        if self._store is None:
-            return ColumnarBatch(
-                workers, tasks, table=self._interning.table_for(workers, tasks)
-            )
-        touched = self._store.sync(workers, tasks)
-        self.counters.store_rows_touched += touched
-        self.counters.store_rebuild_rows_avoided += (
-            len(workers) + len(tasks) - touched
-        )
-        return self._store.view(workers, tasks)
 
     def _full_build(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float
@@ -371,7 +313,7 @@ class AllocationEngine:
         """
         tasks = list(self._tasks.values())
         code = self._columnar_code
-        batch = self._make_batch(workers, tasks)
+        batch = ColumnarBatch(workers, tasks)
         if self._index is None:
             # Dense tile: the skill filter runs inside the kernel, so the
             # bulk of the cross product is rejected without ever existing
@@ -494,26 +436,12 @@ class AllocationEngine:
         changed = [w for w in workers if self._workers.get(w.id) != w]
         changed_ids = {w.id for w in changed}
         added_tasks = [task for task in tasks if task.id not in self._tasks]
-        use_kernels = bool(
-            self._columnar_code is not None and added_tasks and self._workers
-        )
-        if use_kernels:
-            arrival_pairs = len(added_tasks) * sum(
-                1 for wid in self._workers if wid not in changed_ids
-            )
-            use_kernels = arrival_pairs >= COLUMNAR_SYNC_MIN_PAIRS
-        if use_kernels:
-            self._columnar_add_tasks(added_tasks, changed_ids, now)
-        else:
-            for task in added_tasks:
-                self._add_task(task, changed_ids, now)
+        for task in added_tasks:
+            self._add_task(task, changed_ids, now)
         self.counters.tasks_added += len(added_tasks)
         latest = self._latest_deadline()
-        if self._columnar_code is not None and changed:
-            self._columnar_recompute_rows(changed, latest, now)
-        else:
-            for worker in changed:
-                self._recompute_row(worker, latest, now)
+        for worker in changed:
+            self._recompute_row(worker, latest, now)
 
     def _add_task(
         self, task: Task, skip_workers: AbstractSet[int], now: float
@@ -534,8 +462,6 @@ class AllocationEngine:
 
     def _remove_task(self, task_id: int) -> None:
         del self._tasks[task_id]
-        if self._store is not None:
-            self._store.remove_task(task_id)
         if self._index is not None and task_id in self._index:
             self._index.remove(task_id)
         for worker_id in self._workers_of.pop(task_id):
@@ -543,10 +469,6 @@ class AllocationEngine:
 
     def _remove_worker(self, worker_id: int) -> None:
         del self._workers[worker_id]
-        if self._store is not None:
-            # Departure or refresh either way: a refreshed record re-packs
-            # on the next sync, which is exactly the dirty-row accounting.
-            self._store.remove_worker(worker_id)
         for task_id in self._tasks_of.pop(worker_id):
             self._workers_of[task_id].discard(worker_id)
 
@@ -598,129 +520,6 @@ class AllocationEngine:
         self.counters.scalar_pair_evals += len(candidates)
         for task_id in candidates:
             self._link_check(worker, self._tasks[task_id], now)
-
-    def _columnar_recompute_rows(
-        self, changed: Sequence[Worker], latest_deadline: float, now: float
-    ) -> None:
-        """Incremental row recompute through the columnar kernels.
-
-        The dirty workers' candidate rows are gathered exactly as in
-        :meth:`_recompute_row` (same index probes, same pruning counters)
-        and decided in one kernel sweep; the cache then replays the scalar
-        path's metric-access sequence — worker by worker, candidates in row
-        order, skill filter applied — with the kernel's distances, so the
-        graph, ``engine_stats`` and the cache trajectory are bit-identical
-        to the scalar loop.  Only the auxiliary columnar counters record
-        which path ran.
-        """
-        code = self._columnar_code
-        rows: List[List[int]] = []
-        for worker in changed:
-            self._install_row(worker)
-            rows.append(self._candidates_for(worker, latest_deadline, now))
-        total = sum(len(candidates) for candidates in rows)
-        if total < COLUMNAR_SYNC_MIN_PAIRS:
-            # Too small to amortise the numpy batch set-up: finish the rows
-            # exactly as _recompute_row would.
-            self.counters.scalar_pair_evals += total
-            for worker, candidates in zip(changed, rows):
-                for task_id in candidates:
-                    self._link_check(worker, self._tasks[task_id], now)
-            return
-        tasks = list(self._tasks.values())
-        if not tasks:
-            return
-        tpos = {task.id: pos for pos, task in enumerate(tasks)}
-        widx: List[int] = []
-        tidx: List[int] = []
-        for pos, candidates in enumerate(rows):
-            widx.extend(pos for _ in candidates)
-            tidx.extend(tpos[tid] for tid in candidates)
-        self.counters.columnar_pairs += len(widx)
-        if not widx:
-            return
-        batch = self._make_batch(changed, tasks)
-        mask, skill_mask, dists = feasible_pairs(batch, widx, tidx, now, code)
-        if self.journal.enabled:
-            codes = rejection_reasons(batch, widx, tidx, now, code)
-            for k, verdict in enumerate(codes):
-                if verdict:
-                    self.journal.emit(
-                        "reject",
-                        worker=changed[widx[k]].id,
-                        task=tasks[tidx[k]].id,
-                        reason=REASON_NAMES[verdict],
-                        phase="build",
-                    )
-        keep = true_positions(skill_mask)
-        self.metric.replay(
-            (
-                (changed[widx[k]].location, tasks[tidx[k]].location)
-                for k in keep
-            ),
-            [dists[k] for k in keep],
-        )
-        for k in true_positions(mask):
-            worker = changed[widx[k]]
-            task = tasks[tidx[k]]
-            dist = dists[k]
-            travel = dist / worker.velocity if dist > 0.0 else 0.0
-            self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
-            self._workers_of[task.id].add(worker.id)
-
-    def _columnar_add_tasks(
-        self, added: Sequence[Task], skip_workers: AbstractSet[int], now: float
-    ) -> None:
-        """Link newly-arrived tasks against current workers via the kernels.
-
-        Mirrors the scalar :meth:`_add_task` loop: tasks register in batch
-        order (same dict and grid-bucket orders), every non-skipped engine
-        worker is checked against every new task, and the cache replays the
-        scalar access sequence — task-major, workers in registration order
-        — so stats and cache state stay bit-identical to the scalar path.
-        """
-        for task in added:
-            self._tasks[task.id] = task
-            self._workers_of[task.id] = set()
-            if self._index is not None:
-                self._index.insert(task.id, task.location)
-        workers = [w for w in self._workers.values() if w.id not in skip_workers]
-        checked = len(workers) * len(added)
-        self.counters.pairs_checked += checked
-        self.counters.columnar_pairs += checked
-        if not workers:
-            return
-        code = self._columnar_code
-        batch = self._make_batch(workers, added)
-        widx: List[int] = []
-        tidx: List[int] = []
-        for task_pos in range(len(added)):
-            widx.extend(range(len(workers)))
-            tidx.extend(task_pos for _ in workers)
-        mask, skill_mask, dists = feasible_pairs(batch, widx, tidx, now, code)
-        if self.journal.enabled:
-            codes = rejection_reasons(batch, widx, tidx, now, code)
-            for k, verdict in enumerate(codes):
-                if verdict:
-                    self.journal.emit(
-                        "reject",
-                        worker=workers[widx[k]].id,
-                        task=added[tidx[k]].id,
-                        reason=REASON_NAMES[verdict],
-                        phase="build",
-                    )
-        keep = true_positions(skill_mask)
-        self.metric.replay(
-            ((workers[widx[k]].location, added[tidx[k]].location) for k in keep),
-            [dists[k] for k in keep],
-        )
-        for k in true_positions(mask):
-            worker = workers[widx[k]]
-            task = added[tidx[k]]
-            dist = dists[k]
-            travel = dist / worker.velocity if dist > 0.0 else 0.0
-            self._tasks_of[worker.id][task.id] = (task.start, task.deadline, travel)
-            self._workers_of[task.id].add(worker.id)
 
     def _link_check(self, worker: Worker, task: Task, now: float) -> None:
         # Superset test at the batch timestamp: feasibility only shrinks as

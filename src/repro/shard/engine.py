@@ -174,9 +174,8 @@ class ShardedEngine:
             :class:`AllocationEngine` for 1).
         scheme: partition build scheme — ``"grid"`` or ``"kd"`` (see
             :mod:`repro.shard.partition`).
-        use_index / cache_maxsize / use_columnar / use_store: forwarded to
-            every shard engine (``use_store`` gives each shard its own
-            persistent column store over its slice of the populations).
+        use_index / cache_maxsize / use_columnar: forwarded to every shard
+            engine.
         tracer / registry / journal: observability hooks.  The registry
             receives the coordinator's counters and shard gauges; each
             shard engine keeps its own private registry (per-shard detail
@@ -194,7 +193,6 @@ class ShardedEngine:
         registry: Optional[MetricsRegistry] = None,
         cache_maxsize: Optional[int] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
         if n_shards < 2:
@@ -217,7 +215,6 @@ class ShardedEngine:
                 tracer=self.tracer,
                 cache_maxsize=cache_maxsize,
                 use_columnar=use_columnar,
-                use_store=use_store,
                 journal=self.journal,
             )
             for sid in range(n_shards)
@@ -367,11 +364,6 @@ class ShardedEngine:
     @property
     def columnar_active(self) -> bool:
         return any(e.columnar_active for e in self.engines)
-
-    @property
-    def store_active(self) -> bool:
-        """Whether any shard serves kernel batches from a persistent store."""
-        return any(e.store_active for e in self.engines)
 
     def __repr__(self) -> str:
         return (

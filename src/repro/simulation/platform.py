@@ -84,12 +84,6 @@ class Platform:
             follows the process default
             (:func:`repro.columnar.default_columnar`); reports and
             ``engine_stats`` are bit-identical either way.
-        use_store: serve the engine's columnar snapshots from a persistent
-            delta-maintained :class:`~repro.columnar.store.ColumnStore`
-            instead of rebuilding them every batch (pays off at scale;
-            requires the columnar path).  None follows the process default
-            (:func:`repro.columnar.default_store`, off by default);
-            reports and ``engine_stats`` are bit-identical either way.
         journal: structured event journal (the allocation flight recorder)
             receiving the run/batch lifecycle, worker arrivals/departures,
             task submissions/expiries, reason-coded feasibility rejections
@@ -122,7 +116,6 @@ class Platform:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         use_columnar: Optional[bool] = None,
-        use_store: Optional[bool] = None,
         journal: Optional[EventJournal] = None,
         shards: int = 1,
         shard_scheme: str = "grid",
@@ -146,7 +139,6 @@ class Platform:
         self.tracer = tracer
         self.metrics = metrics
         self.use_columnar = use_columnar
-        self.use_store = use_store
         self.journal = journal
         self.shards = shards
         self.shard_scheme = shard_scheme
@@ -212,7 +204,6 @@ class Platform:
                     tracer=tracer,
                     registry=self.metrics,
                     use_columnar=self.use_columnar,
-                    use_store=self.use_store,
                     journal=journal,
                 )
             else:
@@ -221,7 +212,6 @@ class Platform:
                     tracer=tracer,
                     registry=self.metrics,
                     use_columnar=self.use_columnar,
-                    use_store=self.use_store,
                     journal=journal,
                 )
         if engine is not None:

@@ -12,7 +12,6 @@ from repro.columnar import (
     feasible_dense,
     feasible_pairs,
     numpy_available,
-    pair_distances,
     resolve_backend,
     set_default_columnar,
     skill_candidates_dense,
@@ -69,7 +68,7 @@ class TestBackendPlumbing:
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError):
-            pair_distances("chebyshev", [], [], [], [])
+            feasible_pairs(ColumnarBatch([], []), [], [], 0.0, "chebyshev")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -173,24 +172,6 @@ def test_dense_variants_consistent(backend, code):
     assert ct == [tidx[k] for k in keep]
     assert cdists == [dists[k] for k in keep]
     assert bytes(cmask) == bytes(mask[k] for k in keep)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pair_distances_matches_scalar_metrics(backend):
-    points = [(0.0, 0.0), (1.5, -2.5), (1e-9, 1e9), (3.0, 4.0)]
-    ax = [a[0] for a in points]
-    ay = [a[1] for a in points]
-    bx = list(reversed(ax))
-    by = list(reversed(ay))
-    for code, metric in (
-        ("euclidean", EuclideanDistance()),
-        ("manhattan", ManhattanDistance()),
-    ):
-        got = list(pair_distances(code, ax, ay, bx, by, backend=backend))
-        exact = [
-            metric((ax[k], ay[k]), (bx[k], by[k])) for k in range(len(points))
-        ]
-        assert got == exact
 
 
 def test_kernel_counters_increment():

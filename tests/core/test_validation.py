@@ -9,6 +9,7 @@ from repro.core.validation import (
     DOOMED_BY_ANCESTOR,
     IDLE_WORKER,
     NO_SKILLED_WORKER,
+    NON_FINITE_VALUE,
     UNDEMANDED_SKILL,
     UNPRACTISED_SKILL,
     UNREACHABLE_TASK,
@@ -93,6 +94,35 @@ class TestFindings:
         text = lint_summary(lint_instance(instance))
         assert "task-no-skilled-worker: 1" in text
         assert "task-doomed-by-ancestor: 1" in text
+
+
+class TestNonFinite:
+    # Built in memory, bypassing repro.io (which rejects NaN/inf at load).
+    def test_nan_and_inf_are_named_by_entity_and_field(self):
+        nan, inf = float("nan"), float("inf")
+        bad_worker = Worker(id=3, location=(nan, 0.0), start=0.0, wait=10.0,
+                            velocity=inf, max_distance=5.0, skills=frozenset({0}))
+        bad_task = Task(id=7, location=(1.0, 0.0), start=-inf, wait=10.0,
+                        skill=0, duration=nan)
+        instance = build([bad_worker, worker(4, {0})], [bad_task, task(8, skill=0)])
+        findings = lint_instance(instance)
+        assert {f.code for f in findings} == {NON_FINITE_VALUE}
+        assert [(f.subject, f.detail) for f in findings] == [
+            (3, "worker 3: location[0] is nan"),
+            (3, "worker 3: velocity is inf"),
+            (7, "task 7: start is -inf"),
+            (7, "task 7: duration is nan"),
+        ]
+
+    def test_max_distance_and_task_location(self):
+        instance = build(
+            [worker(1, {0}, max_distance=float("inf"))],
+            [task(2, skill=0, location=(0.0, float("nan")))],
+        )
+        assert [f.detail for f in lint_instance(instance)] == [
+            "worker 1: max_distance is inf",
+            "task 2: location[1] is nan",
+        ]
 
 
 class TestOnGeneratedData:

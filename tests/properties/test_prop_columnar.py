@@ -20,7 +20,6 @@ from repro.columnar import (
     available_backends,
     feasible_dense,
     feasible_pairs,
-    pair_distances,
     skill_candidates_dense,
     true_positions,
 )
@@ -130,25 +129,6 @@ def test_dense_kernels_agree_with_flat(seed, code, now, backend):
     assert ct == [tidx[k] for k in expect]
     assert cdists == [dists[k] for k in expect]
     assert bytes(cmask) == bytes(mask[k] for k in expect)
-
-
-@given(
-    st.integers(0, 10_000_000),
-    st.integers(0, 64),
-    st.sampled_from(["euclidean", "manhattan"]),
-)
-@settings(max_examples=60, deadline=None)
-def test_pair_distances_bitwise_across_backends(seed, count, code):
-    rng = random.Random(seed)
-    ax = [rng.uniform(-50, 50) for _ in range(count)]
-    ay = [rng.uniform(-50, 50) for _ in range(count)]
-    bx = [a if rng.random() < 0.2 else rng.uniform(-50, 50) for a in ax]
-    by = [a if rng.random() < 0.2 else rng.uniform(-50, 50) for a in ay]
-    metric = METRICS[code]
-    exact = [metric((ax[k], ay[k]), (bx[k], by[k])) for k in range(count)]
-    for backend in BACKENDS:
-        got = list(pair_distances(code, ax, ay, bx, by, backend=backend))
-        assert got == exact  # float == float: bitwise for finite doubles
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")

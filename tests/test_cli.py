@@ -157,68 +157,6 @@ class TestColumnarFlags:
             set_default_columnar(initial)
 
 
-class TestStoreFlags:
-    def _solve(self, tmp_path, *flags):
-        path = tmp_path / "inst.json"
-        main(["generate", "synthetic", "--out", str(path),
-              "--workers", "10", "--tasks", "12", "--seed", "3"])
-        return main(["solve", str(path), "--approach", "Greedy", *flags])
-
-    def test_flags_toggle_the_process_default(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
-
-        initial = default_store()
-        try:
-            assert self._solve(tmp_path, "--store") == 0
-            assert default_store() is True
-            assert self._solve(tmp_path, "--no-store") == 0
-            assert default_store() is False
-        finally:
-            set_default_store(initial)
-
-    def test_no_flag_leaves_default_alone(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
-
-        initial = default_store()
-        previous = set_default_store(True)
-        try:
-            assert self._solve(tmp_path) == 0
-            assert default_store() is True
-        finally:
-            set_default_store(previous)
-        assert default_store() == initial
-
-    def test_store_and_rebuild_reports_match(self, tmp_path, capsys):
-        import re
-
-        from repro.columnar import default_store, set_default_store
-
-        def _strip_timing(text):
-            return re.sub(r"in \d+(\.\d+)? ms", "in _ ms", text)
-
-        initial = default_store()
-        try:
-            assert self._solve(tmp_path, "--store") == 0
-            stored = capsys.readouterr().out
-            assert self._solve(tmp_path, "--no-store") == 0
-            rebuilt = capsys.readouterr().out
-            assert _strip_timing(stored) == _strip_timing(rebuilt)
-        finally:
-            set_default_store(initial)
-
-    def test_run_accepts_store_flags(self, tmp_path):
-        from repro.columnar import default_store, set_default_store
-
-        initial = default_store()
-        out_file = tmp_path / "t.txt"
-        try:
-            assert main(["run", "table6", "--scale", "0.3", "--seed", "3",
-                         "--store", "--out", str(out_file)]) == 0
-            assert default_store() is True
-        finally:
-            set_default_store(initial)
-
-
 class TestFlightRecorder:
     def _instance(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -339,8 +277,19 @@ class TestHelp:
             main(["solve", "--help"])
         out = capsys.readouterr().out
         assert "Game-5%" in out
-        for flag in ("--jobs", "--parallel-threshold", "--shard-mode"):
+        for flag in ("--jobs", "--parallel-threshold", "--shard-mode",
+                     "--store", "--naive-game"):
             assert flag not in out
+
+    @pytest.mark.parametrize("flag", ["--store", "--no-store", "--naive-game"])
+    def test_removed_solve_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        path = tmp_path / "i.json"
+        main(["generate", "synthetic", "--out", str(path),
+              "--workers", "5", "--tasks", "5", "--seed", "3"])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(path), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _write_instance(tmp_path, mutate):
